@@ -3,7 +3,7 @@
 //! `O(log T)` scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mic_statespace::{approx_change_point, exact_change_point, FitOptions};
+use mic_statespace::{search, FilterWorkspace, FitOptions, SearchPlan};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -22,17 +22,17 @@ fn bench_search(c: &mut Criterion) {
     let opts = FitOptions {
         max_evals: 120,
         n_starts: 1,
-        ..FitOptions::default()
     };
     let mut group = c.benchmark_group("changepoint_search");
     group.sample_size(10);
+    let mut ws = FilterWorkspace::default();
     for &t in &[24usize, 43, 86] {
         let ys = broken_series(t, t / 2, 3);
         group.bench_with_input(BenchmarkId::new("exact", t), &t, |b, _| {
-            b.iter(|| black_box(exact_change_point(&ys, false, &opts).aic));
+            b.iter(|| black_box(search(&ys, &SearchPlan::exact(false, opts), &mut ws).aic));
         });
         group.bench_with_input(BenchmarkId::new("approx", t), &t, |b, _| {
-            b.iter(|| black_box(approx_change_point(&ys, false, &opts).aic));
+            b.iter(|| black_box(search(&ys, &SearchPlan::approx(false, opts), &mut ws).aic));
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 //! of the paper's Table V cost model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace, SteadyStateOpts};
+use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace};
 use mic_statespace::structural::{StructuralParams, StructuralSpec};
 use mic_statespace::{fit_structural, FitOptions};
 use rand::rngs::SmallRng;
@@ -134,12 +134,7 @@ fn bench_loglik_path(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("apply_loglik_fast", t), &t, |b, _| {
             b.iter(|| {
                 spec.apply_params(black_box(&params), &mut ssm);
-                black_box(kalman_loglik(
-                    &ssm,
-                    &ys,
-                    &mut ws,
-                    &SteadyStateOpts::DISABLED,
-                ))
+                black_box(kalman_loglik(&ssm, &ys, &mut ws))
             });
         });
     }
@@ -151,7 +146,6 @@ fn bench_mle_fit(c: &mut Criterion) {
     let opts = FitOptions {
         max_evals: 150,
         n_starts: 1,
-        ..FitOptions::default()
     };
     let mut group = c.benchmark_group("structural_mle");
     group.sample_size(10);

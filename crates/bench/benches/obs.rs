@@ -7,7 +7,7 @@
 //! The `enabled_*` rows quantify what a `--metrics` run pays.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mic_statespace::kalman::{kalman_loglik, FilterWorkspace, SteadyStateOpts};
+use mic_statespace::kalman::{kalman_loglik, FilterWorkspace};
 use mic_statespace::structural::{StructuralParams, StructuralSpec};
 use std::hint::black_box;
 
@@ -61,7 +61,7 @@ fn bench_obs(c: &mut Criterion) {
         b.iter(|| {
             mic_obs::counter("kf.loglik_evals", 1);
             let eval = mic_obs::span("kf.loglik");
-            let ll = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+            let ll = kalman_loglik(&ssm, &ys, &mut ws);
             eval.end();
             black_box(ll)
         });
@@ -71,7 +71,7 @@ fn bench_obs(c: &mut Criterion) {
         b.iter(|| {
             mic_obs::counter("kf.loglik_evals", 1);
             let eval = mic_obs::span("kf.loglik");
-            let ll = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+            let ll = kalman_loglik(&ssm, &ys, &mut ws);
             eval.end();
             black_box(ll)
         });

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mic_claims::{Simulator, WorldSpec};
 use mic_statespace::FitOptions;
-use mic_trend::{PipelineConfig, TrendPipeline};
+use mic_trend::{AnalysisSession, PipelineConfig};
 use std::hint::black_box;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -24,21 +24,22 @@ fn bench_pipeline(c: &mut Criterion) {
         fit: FitOptions {
             max_evals: 120,
             n_starts: 1,
-            ..FitOptions::default()
         },
         threads: 1,
         ..Default::default()
     };
-    let pipeline = TrendPipeline::new(config);
+    let stage1 = || AnalysisSession::from_dataset(&config, &ds).expect("sequential months");
 
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
     group.bench_function("reproduce_panel", |b| {
-        b.iter(|| black_box(pipeline.reproduce_panel(&ds).n_prescription_series()));
+        b.iter(|| black_box(stage1().panel().n_prescription_series()));
     });
-    let panel = pipeline.reproduce_panel(&ds);
+    // Stage 2 on a fresh clone each iteration: an empty fit cache, so every
+    // series is searched cold. The clone is noise next to the Kalman fits.
+    let session = stage1();
     group.bench_function("detect_changes", |b| {
-        b.iter(|| black_box(pipeline.detect_changes(&panel).len()));
+        b.iter(|| black_box(session.clone().analyze().series.len()));
     });
     group.finish();
 }

@@ -31,7 +31,6 @@ fn bench_session(c: &mut Criterion) {
         fit: FitOptions {
             max_evals: 120,
             n_starts: 1,
-            ..FitOptions::default()
         },
         threads: 1,
         ..Default::default()
@@ -52,7 +51,7 @@ fn bench_session(c: &mut Criterion) {
     group.sample_size(10);
     // Full batch re-run on all T+1 months: the cost the session avoids.
     group.bench_function("batch_rerun", |b| {
-        b.iter(|| black_box(pipeline.run(&ds).series.len()));
+        b.iter(|| black_box(pipeline.run(&ds).unwrap().series.len()));
     });
     // Append month T+1 and re-analyse. The vendored criterion has no
     // iter_batched, so each iteration clones the prebuilt warm session —

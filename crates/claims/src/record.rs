@@ -86,6 +86,32 @@ impl MicRecord {
         }
         Ok(())
     }
+
+    /// Check every disease and medicine id against the catalogue sizes.
+    /// Monthly frequency counts and the reproduced panel address dense
+    /// arrays by id, so an id past the catalogue must be rejected before
+    /// any analysis touches the record.
+    pub fn check_ids(&self, n_diseases: usize, n_medicines: usize) -> Result<(), ClaimsError> {
+        for &(d, _) in &self.diseases {
+            if d.index() >= n_diseases {
+                return Err(ClaimsError::IdOutOfRange {
+                    what: "disease",
+                    id: d.0,
+                    limit: n_diseases,
+                });
+            }
+        }
+        for &m in &self.medicines {
+            if m.index() >= n_medicines {
+                return Err(ClaimsError::IdOutOfRange {
+                    what: "medicine",
+                    id: m.0,
+                    limit: n_medicines,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// All MIC records of one dataset month (the paper's `R^(t)`).
@@ -103,6 +129,20 @@ impl MonthlyDataset {
 
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    /// [`MicRecord::check_ids`] over every record, locating the first
+    /// offending record within this month.
+    pub fn check_ids(&self, n_diseases: usize, n_medicines: usize) -> Result<(), ClaimsError> {
+        for (j, r) in self.records.iter().enumerate() {
+            r.check_ids(n_diseases, n_medicines)
+                .map_err(|e| ClaimsError::Record {
+                    month: self.month.index(),
+                    record: j,
+                    source: Box::new(e),
+                })?;
+        }
+        Ok(())
     }
 
     /// Count of appearances of each disease across the month (diagnosis
@@ -205,24 +245,7 @@ impl ClaimsDataset {
                 source: Box::new(e),
             };
             r.validate().map_err(locate)?;
-            for &(d, _) in &r.diseases {
-                if d.index() >= n_diseases {
-                    return Err(locate(ClaimsError::IdOutOfRange {
-                        what: "disease",
-                        id: d.0,
-                        limit: n_diseases,
-                    }));
-                }
-            }
-            for &m in &r.medicines {
-                if m.index() >= n_medicines {
-                    return Err(locate(ClaimsError::IdOutOfRange {
-                        what: "medicine",
-                        id: m.0,
-                        limit: n_medicines,
-                    }));
-                }
-            }
+            r.check_ids(n_diseases, n_medicines).map_err(locate)?;
         }
         Ok(())
     }

@@ -179,7 +179,13 @@ pub fn read_dataset<R: BufRead>(r: R) -> Result<ClaimsDataset, StoreError> {
             if expected_records == 0 {
                 return Err(parse_err(ln, "more records than declared"));
             }
-            month.records.push(parse_record(rest, ln)?);
+            let record = parse_record(rest, ln)?;
+            // Ids past the `dims` line would index past the dense
+            // per-entity arrays downstream.
+            record
+                .check_ids(n_diseases, n_medicines)
+                .map_err(|e| parse_err(ln, e.to_string()))?;
+            month.records.push(record);
             expected_records -= 1;
         } else {
             return Err(parse_err(ln, format!("unrecognised line {line:?}")));
@@ -329,6 +335,23 @@ mod tests {
         let input = "#mic-claims v1\nstart 2013 3\ndims 1 1\nmonth 1 0\n";
         let err = read_dataset(input.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("out of order"));
+    }
+
+    #[test]
+    fn rejects_out_of_range_ids_with_line_number() {
+        let header = "#mic-claims v1\nstart 2013 3\ndims 2 3\nmonth 0 1\n";
+        for (record, what) in [
+            ("r 0 0|2:1|0|2", "disease id 2"),
+            ("r 0 0|1:1|3|1", "medicine id 3"),
+        ] {
+            let input = format!("{header}{record}\n");
+            let err = read_dataset(input.as_bytes()).unwrap_err();
+            assert!(matches!(err, StoreError::Parse { line: 5, .. }), "{err}");
+            assert!(err.to_string().contains(what), "{err}");
+        }
+        // The last valid ids still load.
+        let input = format!("{header}r 0 0|1:1|2|1\n");
+        assert!(read_dataset(input.as_bytes()).is_ok());
     }
 
     #[test]

@@ -1,11 +1,42 @@
 //! Property-based tests for the claims substrate: the simulator must emit
-//! structurally valid data for any world spec, and persistence must be a
-//! lossless round trip.
+//! structurally valid data for any world spec, persistence must be a
+//! lossless round trip, and no loadable file may panic the analysis.
 
 use mic_claims::filter::FrequencyFilter;
 use mic_claims::store::{read_dataset, write_dataset};
 use mic_claims::{Simulator, WorldSpec};
 use proptest::prelude::*;
+
+/// Byte ranges of every id token on the record lines of a serialised
+/// dataset: the digit runs after the record head (`r <patient> <hospital>|`)
+/// that do not follow a `:` — those are diagnosis counts. This covers
+/// disease, medicine, and truth-link ids.
+fn id_tokens(text: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = text.as_bytes();
+    let mut tokens = Vec::new();
+    let mut line_start = 0;
+    for line in text.split_inclusive('\n') {
+        let end = line_start + line.len();
+        if let (true, Some(bar)) = (line.starts_with("r "), line.find('|')) {
+            let mut i = line_start + bar;
+            while i < end {
+                if !bytes[i].is_ascii_digit() {
+                    i += 1;
+                    continue;
+                }
+                let start = i;
+                while i < end && bytes[i].is_ascii_digit() {
+                    i += 1;
+                }
+                if bytes[start - 1] != b':' {
+                    tokens.push(start..i);
+                }
+            }
+        }
+        line_start = end;
+    }
+    tokens
+}
 
 fn small_spec() -> impl Strategy<Value = WorldSpec> {
     (
@@ -153,6 +184,44 @@ proptest! {
                     prop_assert!(world.medicines[m.index()].available_at(Month(t)));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn mutated_id_never_panics_load_or_analysis(
+        seed in 0u64..1000,
+        which in 0usize..100_000,
+        value in 0u32..24,
+    ) {
+        // A well-formed file with one id token rewritten — in range,
+        // duplicated within its bag, or past the `dims` line — must load
+        // and analyse to `Ok` or a typed `Err`, never a panic.
+        let spec = WorldSpec {
+            seed,
+            months: 14,
+            n_diseases: 6,
+            n_medicines: 8,
+            n_patients: 30,
+            n_hospitals: 2,
+            n_cities: 1,
+            ..WorldSpec::default()
+        };
+        let ds = Simulator::new(&spec.generate(), seed).run();
+        let mut buf = Vec::new();
+        write_dataset(&ds, &mut buf).unwrap();
+        let mut text = String::from_utf8(buf).unwrap();
+        let tokens = id_tokens(&text);
+        let token = tokens[which % tokens.len()].clone();
+        prop_assert!(text[token.clone()].parse::<u32>().is_ok());
+        text.replace_range(token, &value.to_string());
+        if let Ok(loaded) = read_dataset(text.as_bytes()) {
+            let config = mic_trend::PipelineConfig {
+                seasonal: false,
+                fit: mic_statespace::FitOptions { max_evals: 30, n_starts: 1 },
+                threads: 1,
+                ..Default::default()
+            };
+            let _ = mic_trend::TrendPipeline::new(config).run(&loaded);
         }
     }
 }

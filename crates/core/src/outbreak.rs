@@ -147,7 +147,6 @@ mod tests {
             fit: FitOptions {
                 max_evals: 200,
                 n_starts: 1,
-                ..FitOptions::default()
             },
             ..Default::default()
         };
@@ -184,7 +183,6 @@ mod tests {
             fit: FitOptions {
                 max_evals: 150,
                 n_starts: 1,
-                ..FitOptions::default()
             },
             seasonal: true,
             ..Default::default()

@@ -4,13 +4,13 @@
 //! dataset and reproduces the prescription panel (Eqs. 7–8). Stage 2 fits
 //! the state space model with AIC change-point search to every series that
 //! survives the total-frequency filter, in parallel, and categorises the
-//! detected changes.
+//! detected changes. Both stages live in [`crate::session`]; this module
+//! holds the configuration, the report types, and the batch entry point.
 
 use crate::classify::ChangeCause;
-use crate::parallel::parallel_map;
-use crate::session::{AnalysisSession, Stage1Reproduce, Stage2Detect};
-use mic_claims::{ClaimsDataset, FrequencyFilter};
-use mic_linkmodel::{EmOptions, PanelBuilder, PrescriptionPanel, SeriesKey};
+use crate::session::AnalysisSession;
+use mic_claims::{ClaimsDataset, ClaimsError, FrequencyFilter};
+use mic_linkmodel::{EmOptions, PrescriptionPanel, SeriesKey};
 use mic_statespace::{ChangePoint, FitOptions};
 
 /// Pipeline configuration.
@@ -30,16 +30,11 @@ pub struct PipelineConfig {
     /// Include the seasonal component (the paper always does for its full
     /// model; disable for small-T tests).
     pub seasonal: bool,
-    /// Worker threads for the state-space fleet (0 = auto).
+    /// Worker threads for both stages: Stage 1's monthly EM fits and
+    /// Stage 2's series fleet, which run one after the other (0 =
+    /// `mic_par::default_threads()`, the available parallelism − 1).
+    /// Results are identical at any thread count.
     pub threads: usize,
-    /// Worker threads for Stage 1's monthly EM fits (0 = auto). Months are
-    /// independent fits, so the panel is identical at any thread count.
-    pub stage1_threads: usize,
-    /// Candidate-parallel workers *inside* each exhaustive change-point
-    /// search (0 or 1 = serial). Only useful when the series fleet itself
-    /// is small (few, very long series); combining a large `threads` with
-    /// `search_threads > 1` oversubscribes the machine.
-    pub search_threads: usize,
     /// Temporal-prior weight chaining consecutive months' medication
     /// models (Section IV-C): each month's EM fit is refined with the
     /// previous month's `Φ` as a prior of this strength. 0 (the default)
@@ -58,8 +53,6 @@ impl Default for PipelineConfig {
             approximate_search: true,
             seasonal: true,
             threads: 0,
-            stage1_threads: 0,
-            search_threads: 0,
             continuity: 0.0,
         }
     }
@@ -167,91 +160,15 @@ impl TrendPipeline {
         TrendPipeline { config }
     }
 
-    /// Stage 1: fit monthly medication models and reproduce the panel.
+    /// Run the full pipeline: reproduce, detect, categorise — a fresh
+    /// [`AnalysisSession`] fed every month of `ds`, analysed once.
     ///
-    /// Months are independent EM fits, so filtering + fitting fans out over
-    /// `stage1_threads` workers, each reusing one [`EmWorkspace`] across its
-    /// share of the months; the panel accumulation stays serial and
-    /// in-month-order, so the result is identical at any thread count.
-    pub fn reproduce_panel(&self, ds: &ClaimsDataset) -> PrescriptionPanel {
-        let _span = mic_obs::span("pipeline.stage1");
-        let stage1 = Stage1Reproduce::from_config(&self.config);
-        let fitted = stage1.fit_months(&ds.months, ds.n_diseases, ds.n_medicines);
-        let mut builder = PanelBuilder::new(ds.n_diseases, ds.n_medicines, ds.horizon());
-        let mut ws = mic_linkmodel::EmWorkspace::new();
-        let mut prev: Option<mic_linkmodel::MedicationModel> = None;
-        for (month, (filtered, vocab, mut model)) in ds.months.iter().zip(fitted) {
-            // Sequential continuity refinement (no-op at the default 0.0).
-            if let Some(p) = &prev {
-                model.refine_next(&filtered, p, stage1.continuity, &stage1.em, &mut ws);
-            }
-            // The frequency filter's silent drops, made visible: entities
-            // below the per-month threshold and the records they emptied.
-            mic_obs::counter(
-                "pipeline.diseases_dropped",
-                (ds.n_diseases - vocab.n_kept_diseases()) as u64,
-            );
-            mic_obs::counter(
-                "pipeline.medicines_dropped",
-                (ds.n_medicines - vocab.n_kept_medicines()) as u64,
-            );
-            mic_obs::counter(
-                "pipeline.records_dropped",
-                (month.records.len() - filtered.records.len()) as u64,
-            );
-            builder.add_month(&filtered, &model);
-            prev = Some(model);
-        }
-        builder.build()
-    }
-
-    /// Stage 2: change detection over every filtered series.
-    pub fn detect_changes(&self, panel: &PrescriptionPanel) -> Vec<SeriesReport> {
-        let _span = mic_obs::span("pipeline.stage2");
-        let keys = panel.filtered_keys(self.config.series_min_total);
-        mic_obs::counter("pipeline.series_admitted", keys.len() as u64);
-        mic_obs::counter(
-            "pipeline.series_dropped",
-            (panel.n_series() - keys.len()) as u64,
-        );
-        let stage2 = Stage2Detect::from_config(&self.config);
-        let reports = parallel_map(&keys, stage2.worker_threads(), |&key| {
-            let Some(ys) = panel.series(key) else {
-                // A filtered key without a backing series is a panel
-                // inconsistency; skip and count it rather than abort the
-                // whole fleet.
-                mic_obs::counter("pipeline.key_mismatch", 1);
-                mic_obs::flush();
-                return None;
-            };
-            let report = stage2.analyze_series(key, ys);
-            mic_obs::counter("pipeline.fits", report.fits_performed as u64);
-            mic_obs::value("pipeline.fits_per_series", report.fits_performed as f64);
-            // Publish this worker's collector so periodic `--progress`
-            // snapshots see work as it completes, not only at join.
-            mic_obs::flush();
-            Some(report)
-        });
-        reports.into_iter().flatten().collect()
-    }
-
-    /// Change-point analysis of one series.
-    pub fn analyze_series(&self, key: SeriesKey, ys: &[f64]) -> SeriesReport {
-        Stage2Detect::from_config(&self.config).analyze_series(key, ys)
-    }
-
-    /// Run the full pipeline: reproduce, detect, categorise.
-    ///
-    /// Equivalent to feeding every month into a fresh [`AnalysisSession`]
-    /// and analysing once — which is exactly how it is implemented.
-    pub fn run(&self, ds: &ClaimsDataset) -> TrendReport {
+    /// # Errors
+    /// [`ClaimsError`] when a month is out of sequence or a record carries
+    /// an id past the dataset's catalogue sizes.
+    pub fn run(&self, ds: &ClaimsDataset) -> Result<TrendReport, ClaimsError> {
         let _span = mic_obs::span("pipeline.total");
-        let mut session =
-            AnalysisSession::new(&self.config, ds.start, ds.n_diseases, ds.n_medicines);
-        session
-            .append_months(&ds.months)
-            .expect("dataset months must be sequentially labelled");
-        session.analyze()
+        Ok(AnalysisSession::from_dataset(&self.config, ds)?.analyze())
     }
 }
 
@@ -287,7 +204,6 @@ mod tests {
             fit: FitOptions {
                 max_evals: 150,
                 n_starts: 1,
-                ..FitOptions::default()
             },
             threads: 2,
             ..Default::default()
@@ -298,7 +214,7 @@ mod tests {
     fn pipeline_runs_end_to_end() {
         let (_world, ds) = small_ds();
         let pipeline = TrendPipeline::new(fast_config());
-        let report = pipeline.run(&ds);
+        let report = pipeline.run(&ds).unwrap();
         assert!(
             !report.series.is_empty(),
             "some series must survive filtering"
@@ -324,17 +240,16 @@ mod tests {
     #[test]
     fn panel_mass_equals_prescriptions() {
         let (_world, ds) = small_ds();
-        let pipeline = TrendPipeline::new(fast_config());
-        let panel = pipeline.reproduce_panel(&ds);
+        let config = fast_config();
+        let session = AnalysisSession::from_dataset(&config, &ds).unwrap();
+        let panel = session.panel();
         // Sum of all prescription series ≈ number of prescriptions that
         // survive frequency filtering.
         let mut filtered_rx = 0usize;
         for month in &ds.months {
-            let (f, _) =
-                pipeline
-                    .config
-                    .frequency_filter
-                    .filter_month(month, ds.n_diseases, ds.n_medicines);
+            let (f, _) = config
+                .frequency_filter
+                .filter_month(month, ds.n_diseases, ds.n_medicines);
             filtered_rx += f.records.iter().map(|r| r.medicines.len()).sum::<usize>();
         }
         let mass: f64 = panel
@@ -358,8 +273,8 @@ mod tests {
             approximate_search: true,
             ..fast_config()
         };
-        let exact = TrendPipeline::new(exact_cfg).run(&ds);
-        let approx = TrendPipeline::new(approx_cfg).run(&ds);
+        let exact = TrendPipeline::new(exact_cfg).run(&ds).unwrap();
+        let approx = TrendPipeline::new(approx_cfg).run(&ds).unwrap();
         assert_eq!(exact.series.len(), approx.series.len());
         for (e, a) in exact.series.iter().zip(&approx.series) {
             assert_eq!(e.key, a.key);
@@ -436,68 +351,42 @@ mod tests {
     #[test]
     fn parallel_pipeline_is_deterministic() {
         // The scoped-thread work queue must not change results or order:
-        // thread counts 1, 2, and 8 produce identical reports.
+        // thread counts 1, 2, and 8 produce identical panels (Stage 1) and
+        // reports (Stage 2).
         let (_world, ds) = small_ds();
         let base = TrendPipeline::new(PipelineConfig {
             threads: 1,
             ..fast_config()
         })
-        .run(&ds);
+        .run(&ds)
+        .unwrap();
         for threads in [2usize, 8] {
             let cfg = PipelineConfig {
                 threads,
                 ..fast_config()
             };
-            let report = TrendPipeline::new(cfg).run(&ds);
+            let report = TrendPipeline::new(cfg).run(&ds).unwrap();
             assert_reports_identical(&report, &base);
         }
     }
 
     #[test]
-    fn stage1_thread_count_does_not_change_the_panel() {
-        // Stage 1's per-worker EmWorkspace fan-out must be invisible in the
-        // output: any worker count builds the same panel and report as the
-        // serial pass, bit for bit.
-        let (_world, ds) = small_ds();
-        let base = TrendPipeline::new(PipelineConfig {
-            stage1_threads: 1,
-            ..fast_config()
-        })
-        .run(&ds);
-        for stage1_threads in [2usize, 4, 8] {
-            let report = TrendPipeline::new(PipelineConfig {
-                stage1_threads,
-                ..fast_config()
-            })
-            .run(&ds);
-            assert_reports_identical(&report, &base);
-        }
-    }
-
-    #[test]
-    fn candidate_parallel_search_does_not_change_the_report() {
-        // Routing the exhaustive per-series search through the
-        // candidate-parallel mode must leave every detection untouched.
-        let (_world, ds) = small_ds();
-        let serial = TrendPipeline::new(PipelineConfig {
-            search_threads: 1,
-            approximate_search: false,
-            ..fast_config()
-        })
-        .run(&ds);
-        let par = TrendPipeline::new(PipelineConfig {
-            search_threads: 4,
-            approximate_search: false,
-            ..fast_config()
-        })
-        .run(&ds);
-        assert_reports_identical(&par, &serial);
+    fn run_rejects_out_of_order_months() {
+        // Mislabelled months come back as a typed error instead of a
+        // panic, naming the first position whose label is wrong.
+        let (_world, mut ds) = small_ds();
+        ds.months.swap(3, 4);
+        let err = TrendPipeline::new(fast_config()).run(&ds).unwrap_err();
+        assert!(
+            matches!(err, ClaimsError::MonthLabel { index: 3, .. }),
+            "{err}"
+        );
     }
 
     #[test]
     fn report_lookup() {
         let (_world, ds) = small_ds();
-        let report = TrendPipeline::new(fast_config()).run(&ds);
+        let report = TrendPipeline::new(fast_config()).run(&ds).unwrap();
         let first_key = report.series[0].key;
         assert!(report.report_for(first_key).is_some());
     }

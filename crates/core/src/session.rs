@@ -18,7 +18,8 @@
 //!   series (Algorithms 1–2).
 //!
 //! **Equivalence by construction**: the batch pipeline is a thin wrapper
-//! that feeds all months into a fresh session, and each appended month
+//! that feeds all months into a fresh session
+//! ([`AnalysisSession::from_dataset`]), and each appended month
 //! depends only on that month's records, the previous month's final `Φ`,
 //! and the configuration. Feeding months one-by-one therefore reproduces
 //! the batch panel bit-for-bit; Stage-2 results can differ only where a
@@ -33,17 +34,25 @@
 //! stale entry's fitted variances instead of the default simplex.
 
 use crate::classify::{classify_change, ChangeCause, MATCH_WINDOW};
-use crate::parallel::{default_threads, parallel_map, parallel_map_with};
 use crate::pipeline::{PipelineConfig, SeriesReport, TrendReport};
 use mic_claims::{
     ClaimsDataset, ClaimsError, FilteredVocabulary, FrequencyFilter, MonthlyDataset, YearMonth,
 };
 use mic_linkmodel::{EmOptions, EmWorkspace, MedicationModel, PrescriptionPanel, SeriesKey};
+use mic_par::{default_threads, parallel_map_with};
 use mic_statespace::{
-    approx_change_point_warm, exact_change_point_par_warm, exact_change_point_warm, ChangePoint,
-    ChangePointSearch, FitOptions, SelectionCriterion, WarmStart,
+    search, ChangePoint, FilterWorkspace, SearchAlgorithm, SearchPlan, WarmStart,
 };
 use std::collections::HashMap;
+
+/// Resolve a configured worker count: 0 means [`default_threads`].
+fn worker_threads(threads: usize) -> usize {
+    if threads == 0 {
+        default_threads()
+    } else {
+        threads
+    }
+}
 
 /// Stage 1 of the pipeline as an explicit type: per-month frequency
 /// filtering and EM fitting of the medication model, with the optional
@@ -65,15 +74,7 @@ impl Stage1Reproduce {
             filter: config.frequency_filter,
             em: config.em,
             continuity: config.continuity,
-            threads: config.stage1_threads,
-        }
-    }
-
-    fn worker_threads(&self) -> usize {
-        if self.threads == 0 {
-            default_threads()
-        } else {
-            self.threads
+            threads: config.threads,
         }
     }
 
@@ -90,7 +91,7 @@ impl Stage1Reproduce {
     ) -> Vec<(MonthlyDataset, FilteredVocabulary, MedicationModel)> {
         parallel_map_with(
             months,
-            self.worker_threads(),
+            worker_threads(self.threads),
             EmWorkspace::new,
             |ws, month| {
                 let (filtered, vocab) = self.filter.filter_month(month, n_diseases, n_medicines);
@@ -137,80 +138,59 @@ impl Stage1Reproduce {
 pub struct Stage2Detect {
     /// Minimum total series mass over the window (paper: 10).
     pub min_total: f64,
-    pub fit: FitOptions,
-    pub approximate: bool,
-    pub seasonal: bool,
+    /// The cold AIC search every series runs; a refit adds its warm start.
+    pub plan: SearchPlan,
     /// Worker threads for the series fleet (0 = auto).
     pub threads: usize,
-    /// Candidate-parallel workers inside each exhaustive search.
-    pub search_threads: usize,
 }
 
 impl Stage2Detect {
     pub fn from_config(config: &PipelineConfig) -> Stage2Detect {
         Stage2Detect {
             min_total: config.series_min_total,
-            fit: config.fit,
-            approximate: config.approximate_search,
-            seasonal: config.seasonal,
+            plan: SearchPlan {
+                algorithm: if config.approximate_search {
+                    SearchAlgorithm::Approx
+                } else {
+                    SearchAlgorithm::Exact
+                },
+                ..SearchPlan::exact(config.seasonal, config.fit)
+            },
             threads: config.threads,
-            search_threads: config.search_threads,
-        }
-    }
-
-    pub(crate) fn worker_threads(&self) -> usize {
-        if self.threads == 0 {
-            default_threads()
-        } else {
-            self.threads
-        }
-    }
-
-    fn search(&self, ys: &[f64], warm: Option<WarmStart>) -> ChangePointSearch {
-        if self.approximate {
-            approx_change_point_warm(ys, self.seasonal, &self.fit, SelectionCriterion::Aic, warm)
-        } else if self.search_threads > 1 {
-            exact_change_point_par_warm(
-                ys,
-                self.seasonal,
-                &self.fit,
-                SelectionCriterion::Aic,
-                self.search_threads,
-                warm,
-            )
-        } else {
-            exact_change_point_warm(ys, self.seasonal, &self.fit, SelectionCriterion::Aic, warm)
         }
     }
 
     /// Change-point analysis of one series (cold start).
     pub fn analyze_series(&self, key: SeriesKey, ys: &[f64]) -> SeriesReport {
-        self.analyze_series_warm(key, ys, None).0
+        self.analyze_series_warm(key, ys, None, &mut FilterWorkspace::default())
+            .0
     }
 
-    /// [`Stage2Detect::analyze_series`] with an optional warm start; also
-    /// returns the search's fitted optima so a session can seed the next
-    /// refit of the same series.
-    pub fn analyze_series_warm(
+    /// [`Stage2Detect::analyze_series`] with an optional warm start and a
+    /// caller-owned workspace; also returns the search's fitted optima so a
+    /// session can seed the next refit of the same series.
+    fn analyze_series_warm(
         &self,
         key: SeriesKey,
         ys: &[f64],
         warm: Option<WarmStart>,
+        ws: &mut FilterWorkspace,
     ) -> (SeriesReport, WarmStart) {
-        let search = self.search(ys, warm);
-        let lambda = if search.change_point.is_some() {
-            search.fit.decompose(ys).lambda
+        let plan = SearchPlan { warm, ..self.plan };
+        let result = search(ys, &plan, ws);
+        let lambda = if result.change_point.is_some() {
+            result.fit.decompose(ys).lambda
         } else {
             0.0
         };
-        let seeds = WarmStart::from_search(&search);
+        let seeds = WarmStart::from_search(&result);
         let report = SeriesReport {
             key,
-            change_point: search.change_point,
-            aic: search.aic,
-            aic_no_change: search.aic_no_change,
+            change_point: result.change_point,
+            aic: result.aic,
+            aic_no_change: result.aic_no_change,
             lambda,
-            fits_performed: search.fits_performed,
+            fits_performed: result.fits_performed,
         };
         (report, seeds)
     }
@@ -397,7 +377,10 @@ impl AnalysisSession {
         self.cache.clear();
     }
 
-    fn check_label(&self, month: &MonthlyDataset, offset: usize) -> Result<(), ClaimsError> {
+    /// A month is accepted only if it carries the next sequential label
+    /// and every id fits the session's catalogue sizes — the panel and the
+    /// frequency filter index dense arrays by id.
+    fn check_month(&self, month: &MonthlyDataset, offset: usize) -> Result<(), ClaimsError> {
         let index = self.models.len() + offset;
         if month.month.index() != index {
             return Err(ClaimsError::MonthLabel {
@@ -405,7 +388,7 @@ impl AnalysisSession {
                 label: month.month,
             });
         }
-        Ok(())
+        month.check_ids(self.n_diseases, self.n_medicines)
     }
 
     fn record_drops(
@@ -433,10 +416,12 @@ impl AnalysisSession {
     /// Absorb one new month: filter, fit its EM model (warm-started from
     /// the previous month's `Φ` when `continuity > 0`), and extend every
     /// affected series by one point. The month must carry the next
-    /// sequential label. Stage-2 refits are deferred to the next
-    /// [`AnalysisSession::analyze`], which touches only changed series.
+    /// sequential label and only ids below the session's catalogue sizes;
+    /// otherwise the session is left unchanged and the error returned.
+    /// Stage-2 refits are deferred to the next [`AnalysisSession::analyze`],
+    /// which touches only changed series.
     pub fn append_month(&mut self, month: &MonthlyDataset) -> Result<(), ClaimsError> {
-        self.check_label(month, 0)?;
+        self.check_month(month, 0)?;
         let _span = mic_obs::span("session.append");
         let mut ws = EmWorkspace::new();
         let (filtered, vocab, model) = self.stage1.fit_month_next(
@@ -458,7 +443,7 @@ impl AnalysisSession {
     pub fn append_months(&mut self, months: &[MonthlyDataset]) -> Result<(), ClaimsError> {
         let _span = mic_obs::span("pipeline.stage1");
         for (i, month) in months.iter().enumerate() {
-            self.check_label(month, i)?;
+            self.check_month(month, i)?;
         }
         let fitted = self
             .stage1
@@ -545,15 +530,20 @@ impl AnalysisSession {
                 }
             }
         }
-        let fitted = parallel_map(&jobs, stage2.worker_threads(), |&(key, ys, _, warm)| {
-            let (report, seeds) = stage2.analyze_series_warm(key, ys, warm);
-            mic_obs::counter("pipeline.fits", report.fits_performed as u64);
-            mic_obs::value("pipeline.fits_per_series", report.fits_performed as f64);
-            // Publish this worker's collector so periodic `--progress`
-            // snapshots see work as it completes, not only at join.
-            mic_obs::flush();
-            (report, seeds)
-        });
+        let fitted = parallel_map_with(
+            &jobs,
+            worker_threads(stage2.threads),
+            FilterWorkspace::default,
+            |ws, &(key, ys, _, warm)| {
+                let (report, seeds) = stage2.analyze_series_warm(key, ys, warm, ws);
+                mic_obs::counter("pipeline.fits", report.fits_performed as u64);
+                mic_obs::value("pipeline.fits_per_series", report.fits_performed as f64);
+                // Publish this worker's collector so periodic `--progress`
+                // snapshots see work as it completes, not only at join.
+                mic_obs::flush();
+                (report, seeds)
+            },
+        );
         for (&(key, _, hash, _), (report, seeds)) in jobs.iter().zip(&fitted) {
             cache.entries.insert(
                 key,
@@ -596,6 +586,7 @@ mod tests {
     use super::*;
     use mic_claims::{DiseaseId, HospitalId, MedicineId, MicRecord, Month, PatientId};
     use mic_statespace::ChangePoint;
+    use mic_statespace::FitOptions;
 
     fn record(diseases: Vec<(u32, u32)>, meds: Vec<u32>) -> MicRecord {
         let truth = vec![DiseaseId(diseases[0].0); meds.len()];
@@ -638,7 +629,6 @@ mod tests {
             fit: FitOptions {
                 max_evals: 100,
                 n_starts: 1,
-                ..FitOptions::default()
             },
             threads: 2,
             ..Default::default()
@@ -663,6 +653,32 @@ mod tests {
         let err = session.append_month(&months[2]).unwrap_err();
         assert!(matches!(err, ClaimsError::MonthLabel { index: 1, .. }));
         assert_eq!(session.horizon(), 1);
+    }
+
+    #[test]
+    fn append_rejects_out_of_range_ids() {
+        // A well-formed month whose ids exceed the session's catalogue must
+        // come back as a typed error, leaving the session untouched.
+        let mut months = synthetic_months(2);
+        let mut session = AnalysisSession::new(&fast_config(), YearMonth::paper_start(), 3, 4);
+        session.append_month(&months[0]).unwrap();
+        months[1].records[0].medicines[0] = MedicineId(4);
+        let err = session.append_month(&months[1]).unwrap_err();
+        assert!(
+            matches!(err, ClaimsError::Record { month: 1, record: 0, ref source }
+                if matches!(**source, ClaimsError::IdOutOfRange { what: "medicine", id: 4, limit: 4 })),
+            "{err}"
+        );
+        months[1].records[0].medicines[0] = MedicineId(0);
+        months[1].records[7].diseases[0].0 = DiseaseId(3);
+        let err = session.append_months(&months[1..]).unwrap_err();
+        assert!(
+            matches!(err, ClaimsError::Record { month: 1, record: 7, ref source }
+                if matches!(**source, ClaimsError::IdOutOfRange { what: "disease", id: 3, limit: 3 })),
+            "{err}"
+        );
+        assert_eq!(session.horizon(), 1);
+        assert_eq!(session.panel().horizon(), 1);
     }
 
     #[test]

@@ -39,12 +39,11 @@ fn pipeline_metrics_agree_with_report() {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            ..FitOptions::default()
         },
         threads: 4,
         ..Default::default()
     };
-    let report = TrendPipeline::new(config).run(&ds);
+    let report = TrendPipeline::new(config).run(&ds).unwrap();
     let snap = mic_obs::snapshot();
     mic_obs::disable();
 
@@ -103,12 +102,11 @@ fn disabled_pipeline_records_nothing() {
         fit: FitOptions {
             max_evals: 60,
             n_starts: 1,
-            ..FitOptions::default()
         },
         threads: 2,
         ..Default::default()
     };
-    let report = TrendPipeline::new(config).run(&ds);
+    let report = TrendPipeline::new(config).run(&ds).unwrap();
     assert!(!report.series.is_empty());
     assert!(
         mic_obs::snapshot().is_empty(),

@@ -44,7 +44,6 @@ fn config(max_evals: usize) -> PipelineConfig {
         fit: FitOptions {
             max_evals,
             n_starts: 1,
-            ..FitOptions::default()
         },
         threads: 4,
         ..Default::default()
@@ -79,7 +78,7 @@ fn assert_reports_identical(batch: &TrendReport, incremental: &TrendReport) {
 fn incremental_appends_match_batch_over_24_months() {
     let ds = dataset(24, 150, 42);
     let cfg = config(100);
-    let batch = TrendPipeline::new(cfg.clone()).run(&ds);
+    let batch = TrendPipeline::new(cfg.clone()).run(&ds).unwrap();
 
     let mut session = AnalysisSession::new(&cfg, ds.start, ds.n_diseases, ds.n_medicines);
     for month in &ds.months {
@@ -100,7 +99,7 @@ fn incremental_appends_match_batch_over_24_months() {
 fn cold_reanalysis_after_warm_appends_matches_batch() {
     let ds = dataset(18, 120, 9);
     let cfg = config(80);
-    let batch = TrendPipeline::new(cfg.clone()).run(&ds);
+    let batch = TrendPipeline::new(cfg.clone()).run(&ds).unwrap();
 
     let mut session = AnalysisSession::new(&cfg, ds.start, ds.n_diseases, ds.n_medicines);
     session.append_months(&ds.months[..15]).unwrap();
@@ -128,7 +127,7 @@ proptest! {
     ) {
         let ds = dataset(14, 100, seed);
         let cfg = config(60);
-        let batch = TrendPipeline::new(cfg.clone()).run(&ds);
+        let batch = TrendPipeline::new(cfg.clone()).run(&ds).unwrap();
 
         let mut session = AnalysisSession::new(&cfg, ds.start, ds.n_diseases, ds.n_medicines);
         session.append_months(&ds.months[..split]).unwrap();

@@ -8,7 +8,7 @@
 
 use mic_experiments::comparison::build_evaluation_panel;
 use mic_experiments::output::{emit_table, section};
-use mic_statespace::{exact_change_point_with, FitOptions, SelectionCriterion};
+use mic_statespace::{search, FilterWorkspace, FitOptions, SearchPlan, SelectionCriterion};
 use mic_trend::report::TextTable;
 
 fn main() {
@@ -17,7 +17,6 @@ fn main() {
     let fit = FitOptions {
         max_evals: 150,
         n_starts: 1,
-        ..FitOptions::default()
     };
 
     let groups: Vec<(&str, Vec<mic_linkmodel::SeriesKey>)> = vec![
@@ -43,10 +42,16 @@ fn main() {
         let mut aic_hits = 0;
         let mut bic_hits = 0;
         let mut subset = true;
+        let mut ws = FilterWorkspace::default();
         for &key in keys {
             let ys = eval.series(key);
-            let aic = exact_change_point_with(ys, true, &fit, SelectionCriterion::Aic);
-            let bic = exact_change_point_with(ys, true, &fit, SelectionCriterion::Bic);
+            let aic_plan = SearchPlan::exact(true, fit);
+            let bic_plan = SearchPlan {
+                criterion: SelectionCriterion::Bic,
+                ..aic_plan
+            };
+            let aic = search(ys, &aic_plan, &mut ws);
+            let bic = search(ys, &bic_plan, &mut ws);
             if aic.change_point.is_some() {
                 aic_hits += 1;
             }

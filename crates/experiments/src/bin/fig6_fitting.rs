@@ -9,7 +9,7 @@
 use mic_experiments::output::{print_series, section};
 use mic_experiments::{generic_world, new_medicine_world, seasonal_world, simulate};
 use mic_linkmodel::{EmOptions, MedicationModel, PanelBuilder, PrescriptionPanel};
-use mic_statespace::{exact_change_point, FitOptions};
+use mic_statespace::{search, ChangePointSearch, FilterWorkspace, FitOptions, SearchPlan};
 
 fn reproduce(ds: &mic_claims::ClaimsDataset) -> PrescriptionPanel {
     let mut builder = PanelBuilder::new(ds.n_diseases, ds.n_medicines, ds.horizon());
@@ -21,10 +21,19 @@ fn reproduce(ds: &mic_claims::ClaimsDataset) -> PrescriptionPanel {
     builder.build()
 }
 
+/// Cold Algorithm-1 search.
+fn exact(ys: &[f64], seasonal: bool, opts: &FitOptions) -> ChangePointSearch {
+    search(
+        ys,
+        &SearchPlan::exact(seasonal, *opts),
+        &mut FilterWorkspace::default(),
+    )
+}
+
 fn show_decomposition(title: &str, ys: &[f64], seasonal: bool, opts: &FitOptions) {
     section(title);
-    let search = exact_change_point(ys, seasonal, opts);
-    let c = search.fit.decompose(ys);
+    let result = exact(ys, seasonal, opts);
+    let c = result.fit.decompose(ys);
     print_series("original", ys);
     print_series("fitted (x - eps)", &c.fitted);
     print_series("level", &c.level);
@@ -34,7 +43,7 @@ fn show_decomposition(title: &str, ys: &[f64], seasonal: bool, opts: &FitOptions
     print_series("intervention", &c.intervention);
     println!(
         "change point: {} (lambda = {:.3})",
-        search.change_point, c.lambda
+        result.change_point, c.lambda
     );
 }
 
@@ -42,7 +51,6 @@ fn main() {
     let opts = FitOptions {
         max_evals: 250,
         n_starts: 1,
-        ..FitOptions::default()
     };
 
     // (a) + (b): seasonal diseases.
@@ -57,8 +65,8 @@ fn main() {
         &opts,
     );
     // Outlier check: irregular at the outbreak month dominates.
-    let search = exact_change_point(&flu, true, &opts);
-    let comp = search.fit.decompose(&flu);
+    let result = exact(&flu, true, &opts);
+    let comp = result.fit.decompose(&flu);
     let ob = s.outbreak_month.index();
     let max_irr = comp.irregular.iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
     println!(
@@ -91,7 +99,7 @@ fn main() {
         false,
         &opts,
     );
-    let detected = exact_change_point(&new_med, false, &opts).change_point;
+    let detected = exact(&new_med, false, &opts).change_point;
     println!(
         "release detection: detected {detected}, true t={} → {}",
         s.release.index(),
@@ -120,12 +128,12 @@ fn main() {
     for (i, &g) in s.generics.iter().enumerate() {
         print_series(&format!("generic-{}", i + 1), panel.medicine_series(g));
     }
-    let search = exact_change_point(&original, false, &opts);
-    let lambda = search.fit.decompose(&original).lambda;
+    let result = exact(&original, false, &opts);
+    let lambda = result.fit.decompose(&original).lambda;
     println!(
         "decline check (negative lambda near entry): lambda = {lambda:.3}, change = {} → {}",
-        search.change_point,
-        match (search.change_point.month(), lambda < 0.0) {
+        result.change_point,
+        match (result.change_point.month(), lambda < 0.0) {
             (Some(t), true) if (t as i64 - s.entry.index() as i64).abs() <= 4 => "HOLDS",
             _ => "VIOLATED",
         }

@@ -10,7 +10,9 @@ use mic_experiments::comparison::{build_evaluation_panel, EvaluationPanel};
 use mic_experiments::output::{emit_table, section};
 use mic_linkmodel::SeriesKey;
 use mic_statespace::arima::{select_arima, ArimaFitOptions};
-use mic_statespace::{approx_change_point, fit_structural, FitOptions, StructuralSpec};
+use mic_statespace::{
+    fit_structural, search, FilterWorkspace, FitOptions, SearchPlan, StructuralSpec,
+};
 use mic_stats::{cohen_d_paired, paired_t_test, Summary};
 use mic_trend::report::TextTable;
 
@@ -33,6 +35,7 @@ fn analyse(eval: &EvaluationPanel, keys: &[SeriesKey], fit: &FitOptions) -> Grou
         change_points: 0,
     };
     let arima_opts = ArimaFitOptions { max_evals: 250 };
+    let mut ws = FilterWorkspace::default();
     for &key in keys {
         let ys = eval.series(key);
         g.ll.push(fit_structural(ys, StructuralSpec::local_level(), fit).aic);
@@ -40,9 +43,9 @@ fn analyse(eval: &EvaluationPanel, keys: &[SeriesKey], fit: &FitOptions) -> Grou
             .push(fit_structural(ys, StructuralSpec::with_seasonal(), fit).aic);
         // Intervention variants use the (approximate) automatic change-point
         // search, as the paper's pipeline does.
-        let ll_i = approx_change_point(ys, false, fit);
+        let ll_i = search(ys, &SearchPlan::approx(false, *fit), &mut ws);
         g.ll_i.push(ll_i.aic);
-        let full = approx_change_point(ys, true, fit);
+        let full = search(ys, &SearchPlan::approx(true, *fit), &mut ws);
         if full.change_point.is_some() {
             g.change_points += 1;
         }
@@ -58,7 +61,6 @@ fn main() {
     let fit = FitOptions {
         max_evals: 150,
         n_starts: 1,
-        ..FitOptions::default()
     };
 
     let groups: Vec<(&str, &[SeriesKey])> = vec![

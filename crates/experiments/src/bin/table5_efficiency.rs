@@ -26,7 +26,6 @@ fn main() {
     let fit = FitOptions {
         max_evals: 150,
         n_starts: 1,
-        ..FitOptions::default()
     };
 
     let groups: Vec<(&str, Vec<mic_linkmodel::SeriesKey>, bool)> = vec![

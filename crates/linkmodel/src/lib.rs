@@ -16,9 +16,7 @@
 //! - [`reproduce`] — monthly prescription/disease/medicine time-series
 //!   reproduction (Eqs. 7–8) into a sparse [`reproduce::PrescriptionPanel`];
 //! - [`eval`] — AP@10 / NDCG@10 prescription-relevance evaluation against
-//!   the world's ground-truth indications;
-//! - [`gibbs`] — a collapsed Gibbs sampler as an alternative inference
-//!   engine for the same model.
+//!   the world's ground-truth indications.
 //!
 //! # Example: attribute prescriptions to diseases
 //!
@@ -47,14 +45,12 @@
 
 pub mod baseline;
 pub mod eval;
-pub mod gibbs;
 pub mod model;
 pub mod predict;
 pub mod reproduce;
 pub mod workspace;
 
 pub use baseline::{CooccurrenceModel, UnigramModel};
-pub use gibbs::{fit_gibbs, GibbsMedicationModel, GibbsOptions};
 pub use model::{EmOptions, MedicationModel};
 pub use predict::{perplexity, split_records, MedicinePredictor, SplitOptions};
 pub use reproduce::{PanelBuilder, PrescriptionPanel, SeriesKey};

@@ -10,9 +10,7 @@
 //! Table VI: **the approximate search produces no false positives**, because
 //! its winning candidate is a member of the exhaustive candidate set.
 
-use crate::estimate::{
-    fit_structural_warm_ws, fit_structural_with_skip_ws, FitOptions, FittedStructural,
-};
+use crate::estimate::{fit_at, FitOptions, FittedStructural};
 use crate::kalman::FilterWorkspace;
 use crate::structural::{StructuralParams, StructuralSpec};
 use std::collections::HashMap;
@@ -98,6 +96,53 @@ impl WarmStart {
     }
 }
 
+/// Which of the paper's two search algorithms to run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SearchAlgorithm {
+    /// Algorithm 1: fit every candidate change point.
+    Exact,
+    /// Algorithm 2: AIC-guided binary search over the candidates.
+    Approx,
+}
+
+/// Everything that decides what a change-point [`search`] does: the model
+/// family, the algorithm, the selection criterion, the fitting budget, and
+/// an optional warm start.
+#[derive(Clone, Copy, Debug)]
+pub struct SearchPlan {
+    /// Include the 11 dummy-seasonal states (the paper's full model).
+    pub seasonal: bool,
+    pub algorithm: SearchAlgorithm,
+    pub criterion: SelectionCriterion,
+    /// Nelder–Mead budget of every fit in the search.
+    pub fit: FitOptions,
+    /// When set, every fit seeds Nelder–Mead from the matching
+    /// [`WarmStart`] field instead of the default multi-start simplex;
+    /// `None` is the cold search.
+    pub warm: Option<WarmStart>,
+}
+
+impl SearchPlan {
+    /// Cold Algorithm-1 search under AIC.
+    pub fn exact(seasonal: bool, fit: FitOptions) -> SearchPlan {
+        SearchPlan {
+            seasonal,
+            algorithm: SearchAlgorithm::Exact,
+            criterion: SelectionCriterion::Aic,
+            fit,
+            warm: None,
+        }
+    }
+
+    /// Cold Algorithm-2 search under AIC.
+    pub fn approx(seasonal: bool, fit: FitOptions) -> SearchPlan {
+        SearchPlan {
+            algorithm: SearchAlgorithm::Approx,
+            ..SearchPlan::exact(seasonal, fit)
+        }
+    }
+}
+
 /// Result of a change-point search.
 #[derive(Clone, Debug)]
 pub struct ChangePointSearch {
@@ -128,39 +173,25 @@ pub struct ChangePointSearch {
 /// evaluations — runs without per-evaluation heap allocation.
 struct SearchContext<'a> {
     ys: &'a [f64],
-    seasonal: bool,
-    opts: &'a FitOptions,
-    criterion: SelectionCriterion,
-    /// When set, every fit in the search is warm-started from the matching
-    /// seed (cached optima from a previous, slightly shorter version of the
-    /// series) instead of the default multi-start simplex.
-    warm: Option<WarmStart>,
+    plan: &'a SearchPlan,
     cache: HashMap<usize, FittedStructural>,
     fits: usize,
-    ws: FilterWorkspace,
+    ws: &'a mut FilterWorkspace,
 }
 
 impl<'a> SearchContext<'a> {
-    fn new(
-        ys: &'a [f64],
-        seasonal: bool,
-        opts: &'a FitOptions,
-        criterion: SelectionCriterion,
-        warm: Option<WarmStart>,
-    ) -> Self {
-        let mut ctx = SearchContext {
+    fn new(ys: &'a [f64], plan: &'a SearchPlan, ws: &'a mut FilterWorkspace) -> Self {
+        SearchContext {
             ys,
-            seasonal,
-            opts,
-            criterion,
-            warm,
+            plan,
             cache: HashMap::new(),
             fits: 0,
-            ws: FilterWorkspace::default(),
-        };
-        // Candidate fits dominate the search; size for their state dim.
-        ctx.ws = FilterWorkspace::new(ctx.spec_at(1).state_dim());
-        ctx
+            ws,
+        }
+    }
+
+    fn score(&self, fit: &FittedStructural) -> f64 {
+        self.plan.criterion.score(fit)
     }
 
     /// Leading-innovation skip shared by every fit in this search: the base
@@ -177,7 +208,7 @@ impl<'a> SearchContext<'a> {
     }
 
     fn base_spec(&self) -> StructuralSpec {
-        if self.seasonal {
+        if self.plan.seasonal {
             StructuralSpec::with_seasonal()
         } else {
             StructuralSpec::local_level()
@@ -185,7 +216,7 @@ impl<'a> SearchContext<'a> {
     }
 
     fn spec_at(&self, cp: usize) -> StructuralSpec {
-        if self.seasonal {
+        if self.plan.seasonal {
             StructuralSpec::full(cp)
         } else {
             StructuralSpec::with_intervention(cp)
@@ -200,43 +231,33 @@ impl<'a> SearchContext<'a> {
         extra_skips: &[usize],
         seed: Option<StructuralParams>,
     ) -> FittedStructural {
-        match seed {
-            Some(w) => fit_structural_warm_ws(
-                self.ys,
-                spec,
-                self.opts,
-                skip,
-                extra_skips,
-                &w,
-                &mut self.ws,
-            ),
-            None => fit_structural_with_skip_ws(
-                self.ys,
-                spec,
-                self.opts,
-                skip,
-                extra_skips,
-                &mut self.ws,
-            ),
-        }
+        fit_at(
+            self.ys,
+            spec,
+            &self.plan.fit,
+            skip,
+            extra_skips,
+            seed.as_ref(),
+            self.ws,
+        )
     }
 
     /// Criterion score (AIC or BIC) of the model with change point `cp`
     /// (memoised).
     fn aic_at(&mut self, cp: usize) -> f64 {
         if let Some(fit) = self.cache.get(&cp) {
-            return self.criterion.score(fit);
+            return self.score(fit);
         }
         let s = self.lead_skip();
         let spec = self.spec_at(cp);
-        let seed = self.warm.map(|w| w.candidate);
+        let seed = self.plan.warm.map(|w| w.candidate);
         let fit = if cp >= s {
             self.fit_model(spec, s, &[cp], seed)
         } else {
             self.fit_model(spec, s + 1, &[], seed)
         };
         self.fits += 1;
-        let score = self.criterion.score(&fit);
+        let score = self.score(&fit);
         self.cache.insert(cp, fit);
         score
     }
@@ -245,7 +266,7 @@ impl<'a> SearchContext<'a> {
         self.fits += 1;
         let s = self.lead_skip();
         let spec = self.base_spec();
-        let seed = self.warm.map(|w| w.baseline);
+        let seed = self.plan.warm.map(|w| w.baseline);
         self.fit_model(spec, s + 1, &[], seed)
     }
 
@@ -299,7 +320,7 @@ impl<'a> SearchContext<'a> {
         let mut keys: Vec<&usize> = self.cache.keys().collect();
         keys.sort_unstable();
         for &cp in keys {
-            let score = self.criterion.score(&self.cache[&cp]);
+            let score = self.score(&self.cache[&cp]);
             if best.is_none_or(|(_, b)| score <= b) {
                 best = Some((cp, score));
             }
@@ -309,9 +330,9 @@ impl<'a> SearchContext<'a> {
 
     fn finish(mut self, best_cp: usize, best_aic: f64) -> ChangePointSearch {
         let no_change = self.no_change_fit();
-        let aic_no_change = self.criterion.score(&no_change);
+        let aic_no_change = self.score(&no_change);
         let aic_by_candidate: HashMap<usize, f64> = {
-            let criterion = self.criterion;
+            let criterion = self.plan.criterion;
             self.cache
                 .iter()
                 .map(|(&cp, fit)| (cp, criterion.score(fit)))
@@ -353,42 +374,28 @@ fn candidates(n: usize) -> std::ops::Range<usize> {
     1..n.saturating_sub(2)
 }
 
+/// Change-point search over `ys` as set out by `plan` — the paper's
+/// Algorithm 1 (exhaustive) or Algorithm 2 (binary search). `ws` serves
+/// every likelihood evaluation of every fit in the search; any workspace
+/// works, and reusing one across searches avoids reallocating it.
+pub fn search(ys: &[f64], plan: &SearchPlan, ws: &mut FilterWorkspace) -> ChangePointSearch {
+    let ctx = SearchContext::new(ys, plan, ws);
+    match plan.algorithm {
+        SearchAlgorithm::Exact => exact_search(ctx),
+        SearchAlgorithm::Approx => approx_search(ctx),
+    }
+}
+
 /// Algorithm 1: exhaustive search over all candidate change points.
-pub fn exact_change_point(ys: &[f64], seasonal: bool, opts: &FitOptions) -> ChangePointSearch {
-    exact_change_point_with(ys, seasonal, opts, SelectionCriterion::Aic)
-}
-
-/// [`exact_change_point`] under an explicit selection criterion.
-pub fn exact_change_point_with(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-) -> ChangePointSearch {
-    exact_change_point_warm(ys, seasonal, opts, criterion, None)
-}
-
-/// [`exact_change_point_with`] with an optional warm start: when `warm` is
-/// set, every fit seeds Nelder–Mead from the matching [`WarmStart`] field
-/// (see [`fit_structural_warm_ws`]) instead of the default multi-start
-/// simplex. `warm = None` is exactly the cold search.
-pub fn exact_change_point_warm(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-    warm: Option<WarmStart>,
-) -> ChangePointSearch {
+fn exact_search(mut ctx: SearchContext<'_>) -> ChangePointSearch {
     let _span = mic_obs::span("kf.search.exact");
     mic_obs::counter("kf.searches_exact", 1);
-    let n = ys.len();
-    let mut ctx = SearchContext::new(ys, seasonal, opts, criterion, warm);
     if ctx.too_short() {
         return ctx.short_series_finish();
     }
     let mut best_cp = 1;
     let mut best_aic = f64::INFINITY;
-    for cp in candidates(n) {
+    for cp in candidates(ctx.ys.len()) {
         let aic = ctx.aic_at(cp);
         // Later candidates win ties, mirroring Algorithm 1's `≤`.
         if aic <= best_aic {
@@ -402,135 +409,17 @@ pub fn exact_change_point_warm(
     r
 }
 
-/// [`exact_change_point`] with candidate-level parallelism: the `O(T)`
-/// candidate models are independent fits, so they fan out over `threads`
-/// workers (one [`FilterWorkspace`] each, claimed off an atomic work
-/// queue). Each candidate's fit is deterministic, and the winner is chosen
-/// by a serial scan in candidate order with the same `≤` tie-breaking as
-/// Algorithm 1, so the result is **bit-identical** to the serial search at
-/// any thread count. With `threads <= 1` this *is* the serial search.
-pub fn exact_change_point_par(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    threads: usize,
-) -> ChangePointSearch {
-    exact_change_point_par_with(ys, seasonal, opts, SelectionCriterion::Aic, threads)
-}
-
-/// [`exact_change_point_par`] under an explicit selection criterion.
-pub fn exact_change_point_par_with(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-    threads: usize,
-) -> ChangePointSearch {
-    exact_change_point_par_warm(ys, seasonal, opts, criterion, threads, None)
-}
-
-/// [`exact_change_point_par_with`] with an optional warm start (see
-/// [`exact_change_point_warm`]); each parallel candidate fit is seeded from
-/// the same warm parameters.
-pub fn exact_change_point_par_warm(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-    threads: usize,
-    warm: Option<WarmStart>,
-) -> ChangePointSearch {
-    if threads <= 1 {
-        return exact_change_point_warm(ys, seasonal, opts, criterion, warm);
-    }
-    let _span = mic_obs::span("kf.search.exact");
-    mic_obs::counter("kf.searches_exact", 1);
-    mic_obs::counter("kf.searches_exact_par", 1);
-    let n = ys.len();
-    let mut ctx = SearchContext::new(ys, seasonal, opts, criterion, warm);
-    if ctx.too_short() {
-        return ctx.short_series_finish();
-    }
-    let lead = ctx.lead_skip();
-    let state_dim = ctx.spec_at(1).state_dim();
-    let cands: Vec<usize> = candidates(n).collect();
-    let fits = mic_par::parallel_map_with(
-        &cands,
-        threads,
-        || FilterWorkspace::new(state_dim),
-        |ws, &cp| {
-            let spec = if seasonal {
-                StructuralSpec::full(cp)
-            } else {
-                StructuralSpec::with_intervention(cp)
-            };
-            let cp_skip = [cp];
-            let (skip, extra): (usize, &[usize]) = if cp >= lead {
-                (lead, &cp_skip)
-            } else {
-                (lead + 1, &[])
-            };
-            match warm {
-                Some(w) => fit_structural_warm_ws(ys, spec, opts, skip, extra, &w.candidate, ws),
-                None => fit_structural_with_skip_ws(ys, spec, opts, skip, extra, ws),
-            }
-        },
-    );
-    // Serial selection in candidate order with Algorithm 1's `≤` (later
-    // candidates win ties) — deterministic regardless of fit completion
-    // order above.
-    let mut best_cp = cands[0];
-    let mut best_aic = f64::INFINITY;
-    for (&cp, fit) in cands.iter().zip(&fits) {
-        let score = criterion.score(fit);
-        if score <= best_aic {
-            best_aic = score;
-            best_cp = cp;
-        }
-    }
-    ctx.fits = fits.len();
-    ctx.cache.extend(cands.iter().copied().zip(fits));
-    let r = ctx.finish(best_cp, best_aic);
-    mic_obs::counter("kf.candidates_exact", r.aic_by_candidate.len() as u64);
-    mic_obs::counter("kf.fits_exact", r.fits_performed as u64);
-    r
-}
-
 /// Algorithm 2: AIC-guided binary search. Exploits the empirical
 /// unimodality of AIC around the true change point (Fig. 5) to probe only
 /// `O(log T)` candidates.
-pub fn approx_change_point(ys: &[f64], seasonal: bool, opts: &FitOptions) -> ChangePointSearch {
-    approx_change_point_with(ys, seasonal, opts, SelectionCriterion::Aic)
-}
-
-/// [`approx_change_point`] under an explicit selection criterion.
-pub fn approx_change_point_with(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-) -> ChangePointSearch {
-    approx_change_point_warm(ys, seasonal, opts, criterion, None)
-}
-
-/// [`approx_change_point_with`] with an optional warm start (see
-/// [`exact_change_point_warm`]).
-pub fn approx_change_point_warm(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-    warm: Option<WarmStart>,
-) -> ChangePointSearch {
+fn approx_search(mut ctx: SearchContext<'_>) -> ChangePointSearch {
     let _span = mic_obs::span("kf.search.approx");
     mic_obs::counter("kf.searches_approx", 1);
-    let n = ys.len();
-    let mut ctx = SearchContext::new(ys, seasonal, opts, criterion, warm);
     if ctx.too_short() {
         return ctx.short_series_finish();
     }
     let mut left = 1usize;
-    let right_end = candidates(n).end;
+    let right_end = candidates(ctx.ys.len()).end;
     let mut right = right_end - 1;
     while right - left > 1 {
         let middle = (left + right) / 2;
@@ -605,14 +494,35 @@ mod tests {
         FitOptions {
             max_evals: 200,
             n_starts: 1,
-            ..FitOptions::default()
         }
+    }
+
+    fn run(ys: &[f64], plan: SearchPlan) -> ChangePointSearch {
+        search(ys, &plan, &mut FilterWorkspace::default())
+    }
+
+    fn exact(ys: &[f64], seasonal: bool) -> ChangePointSearch {
+        run(ys, SearchPlan::exact(seasonal, fast_opts()))
+    }
+
+    fn approx(ys: &[f64], seasonal: bool) -> ChangePointSearch {
+        run(ys, SearchPlan::approx(seasonal, fast_opts()))
+    }
+
+    fn exact_bic(ys: &[f64]) -> ChangePointSearch {
+        run(
+            ys,
+            SearchPlan {
+                criterion: SelectionCriterion::Bic,
+                ..SearchPlan::exact(false, fast_opts())
+            },
+        )
     }
 
     #[test]
     fn exact_finds_planted_change_point() {
         let ys = slope_break_series(43, 25, 1.5, 11);
-        let r = exact_change_point(&ys, false, &fast_opts());
+        let r = exact(&ys, false);
         let cp = r.change_point.month().expect("should detect a change");
         assert!(
             (cp as i64 - 25).unsigned_abs() <= 2,
@@ -624,7 +534,7 @@ mod tests {
     #[test]
     fn exact_rejects_flat_series() {
         let ys = flat_series(43, 12);
-        let r = exact_change_point(&ys, false, &fast_opts());
+        let r = exact(&ys, false);
         assert_eq!(
             r.change_point,
             ChangePoint::None,
@@ -636,8 +546,8 @@ mod tests {
     #[test]
     fn approx_agrees_with_exact_on_clear_break() {
         let ys = slope_break_series(43, 20, 2.0, 13);
-        let exact = exact_change_point(&ys, false, &fast_opts());
-        let approx = approx_change_point(&ys, false, &fast_opts());
+        let exact = exact(&ys, false);
+        let approx = approx(&ys, false);
         assert!(exact.change_point.is_some());
         assert!(approx.change_point.is_some());
         let e = exact.change_point.month().unwrap() as i64;
@@ -654,8 +564,8 @@ mod tests {
             } else {
                 slope_break_series(40, 22, 0.15, seed) // weak break
             };
-            let exact = exact_change_point(&ys, false, &fast_opts());
-            let approx = approx_change_point(&ys, false, &fast_opts());
+            let exact = exact(&ys, false);
+            let approx = approx(&ys, false);
             if approx.change_point.is_some() {
                 assert!(
                     exact.change_point.is_some(),
@@ -668,8 +578,8 @@ mod tests {
     #[test]
     fn approx_uses_far_fewer_fits() {
         let ys = slope_break_series(43, 25, 1.5, 14);
-        let exact = exact_change_point(&ys, false, &fast_opts());
-        let approx = approx_change_point(&ys, false, &fast_opts());
+        let exact = exact(&ys, false);
+        let approx = approx(&ys, false);
         // Exhaustive: T−3 candidates + 1 base = 41; binary: ~2·log₂(T) for
         // the probes plus a handful of hill-descent refinement fits.
         assert_eq!(
@@ -694,7 +604,7 @@ mod tests {
     fn aic_by_candidate_has_valley_at_change_point() {
         // The Fig. 5 shape: AIC lower near the true change point.
         let ys = slope_break_series(43, 30, 1.5, 15);
-        let r = exact_change_point(&ys, false, &fast_opts());
+        let r = exact(&ys, false);
         let near = r.aic_by_candidate[&30];
         let far = r.aic_by_candidate[&5];
         assert!(near < far, "AIC near break {near} !< far {far}");
@@ -711,7 +621,7 @@ mod tests {
                 30.0 + seasonal + 1.2 * w + mic_stats::dist::sample_normal(&mut rng, 0.0, 0.7)
             })
             .collect();
-        let r = exact_change_point(&ys, true, &fast_opts());
+        let r = exact(&ys, true);
         let cp = r.change_point.month().expect("break under seasonality");
         assert!((cp as i64 - 30).unsigned_abs() <= 3, "detected {cp}");
     }
@@ -719,7 +629,7 @@ mod tests {
     #[test]
     fn bic_detects_strong_break() {
         let ys = slope_break_series(43, 25, 1.5, 11);
-        let r = exact_change_point_with(&ys, false, &fast_opts(), SelectionCriterion::Bic);
+        let r = exact_bic(&ys);
         let cp = r.change_point.month().expect("strong break survives BIC");
         assert!((cp as i64 - 25).unsigned_abs() <= 2, "BIC detected {cp}");
     }
@@ -735,8 +645,8 @@ mod tests {
             } else {
                 slope_break_series(40, 20, 0.4, seed + 50)
             };
-            let aic = exact_change_point_with(&ys, false, &fast_opts(), SelectionCriterion::Aic);
-            let bic = exact_change_point_with(&ys, false, &fast_opts(), SelectionCriterion::Bic);
+            let aic = exact(&ys, false);
+            let bic = exact_bic(&ys);
             if bic.change_point.is_some() {
                 assert!(
                     aic.change_point.is_some(),
@@ -749,7 +659,7 @@ mod tests {
     #[test]
     fn bic_rejects_flat_series() {
         let ys = flat_series(43, 77);
-        let r = exact_change_point_with(&ys, false, &fast_opts(), SelectionCriterion::Bic);
+        let r = exact_bic(&ys);
         assert_eq!(r.change_point, ChangePoint::None);
     }
 
@@ -760,8 +670,8 @@ mod tests {
         for n in 0..=4usize {
             let ys: Vec<f64> = (0..n).map(|t| t as f64).collect();
             for seasonal in [false, true] {
-                let a = approx_change_point(&ys, seasonal, &fast_opts());
-                let e = exact_change_point(&ys, seasonal, &fast_opts());
+                let a = approx(&ys, seasonal);
+                let e = exact(&ys, seasonal);
                 if seasonal || n < 4 {
                     assert_eq!(a.change_point, ChangePoint::None, "approx n={n}");
                     assert_eq!(e.change_point, ChangePoint::None, "exact n={n}");
@@ -778,7 +688,7 @@ mod tests {
         // but too few scored observations — previously an assert/panic path.
         for n in [5usize, 10, 14] {
             let ys: Vec<f64> = (0..n).map(|t| 1.0 + (t as f64) * 0.3).collect();
-            let r = approx_change_point(&ys, true, &fast_opts());
+            let r = approx(&ys, true);
             assert_eq!(r.change_point, ChangePoint::None, "n = {n}");
             assert!(r.aic_by_candidate.is_empty());
         }
@@ -789,99 +699,9 @@ mod tests {
         // n = 4 non-seasonal is the shortest series with a real search: one
         // candidate month and exactly two scored observations.
         let ys = [1.0, 2.0, 3.0, 4.0];
-        let r = exact_change_point(&ys, false, &fast_opts());
+        let r = exact(&ys, false);
         assert!(r.fits_performed > 0);
         assert!(r.aic.is_finite());
-    }
-
-    /// Every observable field of the search result must be *bit*-identical
-    /// between the serial and candidate-parallel paths — the parallel mode
-    /// only reorders who fits which candidate, never what is fitted or how
-    /// the winner is selected.
-    fn assert_searches_identical(a: &ChangePointSearch, b: &ChangePointSearch, what: &str) {
-        assert_eq!(a.change_point, b.change_point, "{what}: change point");
-        assert_eq!(a.aic.to_bits(), b.aic.to_bits(), "{what}: aic");
-        assert_eq!(
-            a.aic_no_change.to_bits(),
-            b.aic_no_change.to_bits(),
-            "{what}: aic_no_change"
-        );
-        assert_eq!(a.fits_performed, b.fits_performed, "{what}: fits");
-        assert_eq!(
-            a.aic_by_candidate.len(),
-            b.aic_by_candidate.len(),
-            "{what}: candidate map size"
-        );
-        for (cp, aic) in &a.aic_by_candidate {
-            let other = b.aic_by_candidate[cp];
-            assert_eq!(aic.to_bits(), other.to_bits(), "{what}: candidate {cp}");
-        }
-        assert_eq!(
-            a.fit.loglik.to_bits(),
-            b.fit.loglik.to_bits(),
-            "{what}: fit loglik"
-        );
-        assert_eq!(a.fit.aic.to_bits(), b.fit.aic.to_bits(), "{what}: fit aic");
-        assert_eq!(a.fit.bic.to_bits(), b.fit.bic.to_bits(), "{what}: fit bic");
-        assert_eq!(a.fit.skip, b.fit.skip, "{what}: fit skip");
-        for (pa, pb) in [
-            (a.fit.params.var_eps, b.fit.params.var_eps),
-            (a.fit.params.var_level, b.fit.params.var_level),
-            (a.fit.params.var_seasonal, b.fit.params.var_seasonal),
-        ] {
-            assert_eq!(pa.to_bits(), pb.to_bits(), "{what}: fit params");
-        }
-    }
-
-    #[test]
-    fn candidate_parallel_matches_serial_on_planted_break() {
-        let ys = slope_break_series(43, 25, 1.5, 11);
-        let serial = exact_change_point(&ys, false, &fast_opts());
-        for threads in [2usize, 4, 8] {
-            let par = exact_change_point_par(&ys, false, &fast_opts(), threads);
-            assert_searches_identical(&par, &serial, &format!("{threads} threads"));
-        }
-        assert!(serial.change_point.is_some());
-    }
-
-    #[test]
-    fn candidate_parallel_matches_serial_on_flat_and_seasonal_series() {
-        // The flat series exercises the "no change wins" branch (and its AIC
-        // tie-breaking), the seasonal one the lead-skip ≥ 12 candidate split.
-        let flat = flat_series(43, 12);
-        let mut rng = SmallRng::seed_from_u64(16);
-        let seasonal: Vec<f64> = (0..48)
-            .map(|t| {
-                let s = 5.0 * ((t % 12) as f64 / 12.0 * std::f64::consts::TAU).sin();
-                let w = if t >= 30 { (t - 30 + 1) as f64 } else { 0.0 };
-                30.0 + s + 1.2 * w + mic_stats::dist::sample_normal(&mut rng, 0.0, 0.7)
-            })
-            .collect();
-        for (ys, is_seasonal, what) in [(&flat, false, "flat"), (&seasonal, true, "seasonal")] {
-            let serial = exact_change_point(ys, is_seasonal, &fast_opts());
-            let par = exact_change_point_par(ys, is_seasonal, &fast_opts(), 4);
-            assert_searches_identical(&par, &serial, what);
-        }
-    }
-
-    #[test]
-    fn candidate_parallel_matches_serial_under_bic() {
-        let ys = slope_break_series(43, 25, 1.5, 11);
-        let serial = exact_change_point_with(&ys, false, &fast_opts(), SelectionCriterion::Bic);
-        let par = exact_change_point_par_with(&ys, false, &fast_opts(), SelectionCriterion::Bic, 3);
-        assert_searches_identical(&par, &serial, "bic");
-    }
-
-    #[test]
-    fn candidate_parallel_degrades_cleanly_on_short_series() {
-        for n in 0..=4usize {
-            let ys: Vec<f64> = (0..n).map(|t| t as f64).collect();
-            for seasonal in [false, true] {
-                let serial = exact_change_point(&ys, seasonal, &fast_opts());
-                let par = exact_change_point_par(&ys, seasonal, &fast_opts(), 4);
-                assert_searches_identical(&par, &serial, &format!("n={n} seasonal={seasonal}"));
-            }
-        }
     }
 
     #[test]
@@ -893,33 +713,23 @@ mod tests {
             (slope_break_series(43, 25, 1.5, 11), "break"),
             (flat_series(43, 12), "flat"),
         ] {
-            let prev = exact_change_point(&ys[..ys.len() - 1], false, &fast_opts());
+            let prev = exact(&ys[..ys.len() - 1], false);
             let seeds = WarmStart::from_search(&prev);
-            let cold = exact_change_point(&ys, false, &fast_opts());
-            let warm = exact_change_point_warm(
+            let cold = exact(&ys, false);
+            let warm = run(
                 &ys,
-                false,
-                &fast_opts(),
-                SelectionCriterion::Aic,
-                Some(seeds),
+                SearchPlan {
+                    warm: Some(seeds),
+                    ..SearchPlan::exact(false, fast_opts())
+                },
             );
             assert_eq!(cold.change_point, warm.change_point, "{what}");
-            let warm_par = exact_change_point_par_warm(
+            let warm_approx = run(
                 &ys,
-                false,
-                &fast_opts(),
-                SelectionCriterion::Aic,
-                4,
-                Some(seeds),
-            );
-            assert_eq!(warm.change_point, warm_par.change_point, "{what} par");
-            assert_eq!(warm.aic.to_bits(), warm_par.aic.to_bits(), "{what} par aic");
-            let warm_approx = approx_change_point_warm(
-                &ys,
-                false,
-                &fast_opts(),
-                SelectionCriterion::Aic,
-                Some(seeds),
+                SearchPlan {
+                    warm: Some(seeds),
+                    ..SearchPlan::approx(false, fast_opts())
+                },
             );
             assert_eq!(cold.change_point, warm_approx.change_point, "{what} approx");
         }

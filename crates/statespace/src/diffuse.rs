@@ -316,7 +316,6 @@ mod tests {
         let opts = crate::estimate::FitOptions {
             max_evals: 200,
             n_starts: 1,
-            ..crate::estimate::FitOptions::default()
         };
         let mut best: Option<(usize, f64)> = None;
         for cand in [5usize, 12, 20, 28, 35] {

@@ -9,7 +9,7 @@
 //! variances — so adding the intervention costs exactly one penalty unit,
 //! which is what makes the AIC change-point comparison meaningful.
 
-use crate::kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace, SteadyStateOpts};
+use crate::kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace};
 use crate::model::Ssm;
 use crate::smoother::smooth;
 use crate::structural::{Components, StructuralParams, StructuralSpec};
@@ -23,10 +23,6 @@ pub struct FitOptions {
     pub max_evals: usize,
     /// Extra restarts from perturbed initial points (best result wins).
     pub n_starts: usize,
-    /// Steady-state Kalman fast path applied to every likelihood
-    /// evaluation (see [`SteadyStateOpts`]). `SteadyStateOpts::DISABLED`
-    /// recovers the seed behaviour bit for bit.
-    pub steady: SteadyStateOpts,
 }
 
 impl Default for FitOptions {
@@ -34,7 +30,6 @@ impl Default for FitOptions {
         FitOptions {
             max_evals: 400,
             n_starts: 2,
-            steady: SteadyStateOpts::default(),
         }
     }
 }
@@ -145,77 +140,47 @@ impl FittedStructural {
 /// Panics if the series is shorter than the model's state dimension + 2
 /// (not enough observations past the diffuse burn-in to score).
 pub fn fit_structural(ys: &[f64], spec: StructuralSpec, opts: &FitOptions) -> FittedStructural {
+    let mut ws = FilterWorkspace::new(spec.state_dim());
     // An intervention model's λ is identified at the change point, not in
     // the leading burn-in: skip state_dim − 1 leading innovations plus the
     // one at the change point (when it lies past the burn-in).
     if let crate::structural::InterventionSpec::SlopeShift { change_point } = spec.intervention {
         let lead = spec.state_dim() - 1;
         if change_point >= lead {
-            return fit_structural_with_skip(ys, spec, opts, lead, &[change_point]);
+            return fit_at(ys, spec, opts, lead, &[change_point], None, &mut ws);
         }
-        return fit_structural_with_skip(ys, spec, opts, lead + 1, &[]);
+        return fit_at(ys, spec, opts, lead + 1, &[], None, &mut ws);
     }
-    fit_structural_with_skip(ys, spec, opts, spec.state_dim(), &[])
+    fit_at(ys, spec, opts, spec.state_dim(), &[], None, &mut ws)
 }
 
-/// Like [`fit_structural`] but with explicit likelihood exclusions: the
-/// first `skip` innovations plus the innovations at `extra_skips` indices.
-/// Change-point searches use these so every compared model — any candidate
-/// change point and the no-change baseline — scores exactly the same number
-/// of observations, and so the intervention coefficient's identifying
+/// The one fitting routine behind [`fit_structural`] and the change-point
+/// search, with explicit likelihood exclusions: the first `skip`
+/// innovations plus the innovations at `extra_skips` indices. Change-point
+/// searches use these so every compared model — any candidate change point
+/// and the no-change baseline — scores exactly the same number of
+/// observations, and so the intervention coefficient's identifying
 /// innovation (variance ≈ κ under the diffuse prior) is never charged to
 /// the likelihood.
-pub fn fit_structural_with_skip(
-    ys: &[f64],
-    spec: StructuralSpec,
-    opts: &FitOptions,
-    skip: usize,
-    extra_skips: &[usize],
-) -> FittedStructural {
-    let mut ws = FilterWorkspace::new(spec.state_dim());
-    fit_structural_with_skip_ws(ys, spec, opts, skip, extra_skips, &mut ws)
-}
-
-/// Like [`fit_structural_with_skip`] but threading a caller-owned
-/// [`FilterWorkspace`] through every likelihood evaluation, so a change-point
-/// search fitting dozens of candidate models reuses one set of filter
+///
+/// The caller-owned [`FilterWorkspace`] serves every likelihood evaluation,
+/// so a search fitting dozens of candidate models reuses one set of filter
 /// buffers across all of them. The SSM is built once per fit and only its
 /// disturbance variances are overwritten per evaluation; combined with the
-/// allocation-free [`kalman_loglik`], the optimisation loop performs no heap
-/// allocation at all.
-pub fn fit_structural_with_skip_ws(
-    ys: &[f64],
-    spec: StructuralSpec,
-    opts: &FitOptions,
-    skip: usize,
-    extra_skips: &[usize],
-    ws: &mut FilterWorkspace,
-) -> FittedStructural {
-    fit_structural_impl(ys, spec, opts, skip, extra_skips, None, ws)
-}
-
-/// Warm-started [`fit_structural_with_skip_ws`]: instead of the default
-/// multi-start simplex, Nelder–Mead runs a single start seeded at `warm`'s
-/// log-variances with a tightened initial step. Intended for resumable fits —
-/// refitting a series that grew by one observation, where the previous
-/// optimum is an excellent initial guess. The optimum found may differ
-/// slightly from a cold fit (different simplex trajectory), so callers that
-/// need bit-reproducibility against the batch path must compare *decisions*,
-/// not likelihoods. Emits a `kf.warm_fits` counter alongside the usual
-/// `kf.fits`.
-pub fn fit_structural_warm_ws(
-    ys: &[f64],
-    spec: StructuralSpec,
-    opts: &FitOptions,
-    skip: usize,
-    extra_skips: &[usize],
-    warm: &StructuralParams,
-    ws: &mut FilterWorkspace,
-) -> FittedStructural {
-    fit_structural_impl(ys, spec, opts, skip, extra_skips, Some(warm), ws)
-}
-
-fn fit_structural_impl(
+/// allocation-free [`kalman_loglik`], the optimisation loop performs no
+/// heap allocation at all.
+///
+/// With `warm` set, Nelder–Mead runs a single start seeded at the given
+/// log-variances with a tightened initial step, instead of the default
+/// multi-start simplex. This is for resumable fits — refitting a series
+/// that grew by one observation, where the previous optimum is an
+/// excellent initial guess. The optimum found may differ slightly from a
+/// cold fit (different simplex trajectory), so callers that need
+/// bit-reproducibility against the batch path must compare *decisions*,
+/// not likelihoods. Warm fits emit a `kf.warm_fits` counter alongside the
+/// usual `kf.fits`; every Nelder–Mead start that stops at its evaluation
+/// cap instead of meeting the tolerance test counts as `kf.nm_cap_hits`.
+pub(crate) fn fit_at(
     ys: &[f64],
     spec: StructuralSpec,
     opts: &FitOptions,
@@ -234,7 +199,6 @@ fn fit_structural_impl(
         extra_skips.len(),
         skip + extra_skips.len() + 2
     );
-    let _ = q;
     let var_y = sample_variance(ys).max(1e-6);
     let n_var = spec.n_variance_params();
 
@@ -244,14 +208,13 @@ fn fit_structural_impl(
     ssm.extra_skips = extra_skips.to_vec();
 
     // Objective over log-variances [ln σ²_ε, ln σ²_ξ, (ln σ²_ω)].
-    let steady = opts.steady;
     let mut objective = |x: &[f64]| -> f64 {
         let params = params_from_log(x, var_y);
         spec.apply_params(&params, &mut ssm);
         // The mean of the `kf.loglik` timer is the measured C_KF (Table V).
         mic_obs::counter("kf.loglik_evals", 1);
         let eval_span = mic_obs::span("kf.loglik");
-        let loglik = kalman_loglik(&ssm, ys, ws, &steady);
+        let loglik = kalman_loglik(&ssm, ys, ws);
         eval_span.end();
         if loglik.is_finite() {
             -loglik
@@ -315,6 +278,9 @@ fn fit_structural_impl(
         let x0: Vec<f64> = start.iter().take(n_var).copied().collect();
         let r = nelder_mead(&mut objective, &x0, &nm_opts);
         mic_obs::counter("kf.nm_evals", r.evals as u64);
+        if !r.converged {
+            mic_obs::counter("kf.nm_cap_hits", 1);
+        }
         total_evals += r.evals;
         match &best {
             Some((_, fx)) if *fx <= r.fx => {}
@@ -604,14 +570,14 @@ mod tests {
         let opts = FitOptions::default();
         let prev = fit_structural(&ys[..59], spec, &opts);
         let cold = fit_structural(&ys, spec, &opts);
-        let mut ws = crate::kalman::FilterWorkspace::new(spec.state_dim());
-        let warm = fit_structural_warm_ws(
+        let mut ws = FilterWorkspace::new(spec.state_dim());
+        let warm = fit_at(
             &ys,
             spec,
             &opts,
             spec.state_dim(),
             &[],
-            &prev.params,
+            Some(&prev.params),
             &mut ws,
         );
         assert!(

@@ -7,8 +7,9 @@
 //! destabilises on seasonal or freshly-broken series.
 
 use crate::arima::{select_arima, ArimaFitOptions};
-use crate::changepoint::exact_change_point;
+use crate::changepoint::{search, SearchPlan};
 use crate::estimate::FitOptions;
+use crate::kalman::FilterWorkspace;
 use mic_stats::metrics::{min_max_normalize, rmse};
 
 /// One series' forecast comparison.
@@ -80,8 +81,9 @@ pub fn compare_forecasts(
 
     // Structural: detect the change point on the training window, then
     // forecast with the winning model.
-    let search = exact_change_point(train, opts.seasonal, &opts.fit);
-    let structural = search.fit.forecast(train, horizon);
+    let plan = SearchPlan::exact(opts.seasonal, opts.fit);
+    let best = search(train, &plan, &mut FilterWorkspace::default());
+    let structural = best.fit.forecast(train, horizon);
 
     // ARIMA with AIC-selected orders.
     let arima_fit = select_arima(train, opts.max_pq, opts.max_d, &opts.arima);

@@ -6,73 +6,10 @@
 //! near-diffuse prior) are excluded, so models with different numbers of
 //! diffuse states get comparable AICs via the `2·(q + w)` penalty.
 
-use crate::model::{ObsLoading, Ssm};
+use crate::model::Ssm;
 use mic_stats::Mat;
 
 const LN_2PI: f64 = 1.837_877_066_409_345_5;
-
-/// Steady-state detection options for [`kalman_loglik`].
-///
-/// A time-invariant model's predicted covariance `P_{t|t−1}` converges to a
-/// Riccati fixed point (Durbin–Koopman §4.3), after which the gain `K`, the
-/// innovation variance `F`, and `ln F` are constants and each filter step
-/// needs only the `O(m)` mean recursion instead of the `O(nnz·m)` covariance
-/// products. Detection is per element: `P` must move by no more than
-/// `rel_tol · (1 + |P_ij|)` between consecutive steps, `hold` steps in a
-/// row. The `1 +` keeps the criterion meaningful across the κ = 1e7 diffuse
-/// entries (which sit exactly still for never-observed λ states) and the
-/// O(1) post-burn-in entries alike.
-///
-/// Before freezing, the candidate fixed point is *polished*: the data-free
-/// covariance recursion is iterated until `K` and `F` are stationary to
-/// ~1e-12 relative, so the frozen values are the Riccati limit rather than a
-/// snapshot of a still-drifting transient. This bounds the log-likelihood
-/// drift by the (geometrically decaying) distance between the exact filter's
-/// `F_t` and `F_∞` past the entry step, independent of how many steady steps
-/// follow. If polishing fails to settle (near-singular models whose
-/// covariance decays algebraically — the near-zero-variance trap), the
-/// filter stays on the exact path for the rest of the call.
-///
-/// With a time-varying loading the frozen gain is only valid while `Z_t`
-/// stays put, so an intervention model freezes before its change point and
-/// falls back to the exact recursion the moment the slope weight starts
-/// ramping.
-///
-/// `rel_tol = 0` (or `hold = 0`) disables detection: `kalman_loglik` then
-/// runs the exact recursion at every step, bit-identical to
-/// [`kalman_loglik_reference`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SteadyStateOpts {
-    /// Per-element relative tolerance on `|ΔP|`; `0` disables the fast path.
-    pub rel_tol: f64,
-    /// Consecutive sub-tolerance steps required before freezing.
-    pub hold: usize,
-}
-
-impl SteadyStateOpts {
-    /// Never enter the steady-state phase (exact recursion at every step).
-    pub const DISABLED: SteadyStateOpts = SteadyStateOpts {
-        rel_tol: 0.0,
-        hold: 0,
-    };
-
-    /// Whether detection is active at all.
-    pub fn enabled(&self) -> bool {
-        self.rel_tol > 0.0 && self.hold > 0
-    }
-}
-
-impl Default for SteadyStateOpts {
-    /// Enabled, tuned so that the measured log-likelihood drift stays below
-    /// 1e-9 relative (the parity suite's bound) while still entering early
-    /// enough to pay off on series of a few dozen points.
-    fn default() -> Self {
-        SteadyStateOpts {
-            rel_tol: 1e-8,
-            hold: 2,
-        }
-    }
-}
 
 /// Full filtering output for one series.
 #[derive(Clone, Debug)]
@@ -339,10 +276,8 @@ pub struct FilterWorkspace {
     a_filt: Vec<f64>,
     pz: Vec<f64>,
     k: Vec<f64>,
-    k_prev: Vec<f64>,
     p_pred: Mat,
     p_filt: Mat,
-    p_prev: Mat,
     tp: Mat,
     st: SparseTransition,
 }
@@ -369,116 +304,27 @@ impl FilterWorkspace {
             &mut self.a_filt,
             &mut self.pz,
             &mut self.k,
-            &mut self.k_prev,
         ] {
             v.clear();
             v.resize(m, 0.0);
         }
         self.p_pred.resize(m, m);
         self.p_filt.resize(m, m);
-        self.p_prev.resize(m, m);
         self.tp.resize(m, m);
     }
 }
 
-/// Polish a near-converged predicted covariance to the Riccati fixed point
-/// by iterating the data-free covariance recursion
-/// `P ← T (P − P z z' P / F) T' + Q`. On success, returns the fixed-point
-/// innovation variance `F_∞` with the matching gain `K_∞` left in `k` and
-/// the fixed-point covariance left in `p`; returns `None` (caller stays on
-/// the exact path) if `K`/`F` fail to become stationary within the
-/// iteration cap — the signature of algebraic, rather than geometric,
-/// covariance decay.
-#[allow(clippy::too_many_arguments)]
-fn refine_fixed_point(
-    z: &[f64],
-    obs_var: f64,
-    state_cov: &Mat,
-    st: &SparseTransition,
-    p: &mut Mat,
-    p_filt: &mut Mat,
-    tp: &mut Mat,
-    pz: &mut [f64],
-    k: &mut [f64],
-    k_prev: &mut [f64],
-) -> Option<f64> {
-    const REFINE_TOL: f64 = 1e-13;
-    const MAX_ITERS: usize = 64;
-    let m = z.len();
-    let mut f_prev = f64::NAN;
-    k_prev.fill(f64::NAN);
-    for _ in 0..MAX_ITERS {
-        for i in 0..m {
-            let mut acc = 0.0;
-            for j in 0..m {
-                acc += p[(i, j)] * z[j];
-            }
-            pz[i] = acc;
-        }
-        let mut f = obs_var;
-        for i in 0..m {
-            f += z[i] * pz[i];
-        }
-        let f = f.max(obs_var.max(1e-12));
-        for i in 0..m {
-            k[i] = pz[i] / f;
-        }
-        let settled = (f - f_prev).abs() <= REFINE_TOL * f
-            && k.iter()
-                .zip(k_prev.iter())
-                .all(|(&a, &b)| (a - b).abs() <= REFINE_TOL * (1.0 + a.abs()));
-        if settled {
-            return Some(f);
-        }
-        f_prev = f;
-        k_prev.copy_from_slice(k);
-        p_filt.copy_from(p);
-        for i in 0..m {
-            for j in 0..m {
-                p_filt[(i, j)] -= k[i] * pz[j];
-            }
-        }
-        p_filt.symmetrize();
-        st.mul_into(p_filt, tp);
-        st.mul_transpose_into(tp, p);
-        for i in 0..m {
-            for j in 0..m {
-                p[(i, j)] += state_cov[(i, j)];
-            }
-        }
-        p.symmetrize();
-    }
-    None
-}
-
 /// Log-likelihood of `ys` under `ssm` — the same recursion and arithmetic
 /// order as [`kalman_filter`], computing only the scalar likelihood with
-/// zero heap allocation per timestep (all state lives in `ws`), plus an
-/// optional steady-state phase (see [`SteadyStateOpts`]): once the
-/// predicted covariance settles, `K`, `F`, and `ln F` freeze and each
-/// remaining step is one dot product, one axpy, and one sparse mat-vec.
-///
-/// With `steady` disabled ([`SteadyStateOpts::DISABLED`]) this returns
-/// exactly `kalman_filter(ssm, ys).loglik` (bit-identical: every sum is
-/// accumulated in the same order). With detection enabled, the prefix up to
-/// the entry step is still bit-identical and the tail drifts by at most the
-/// tolerance-tier difference between `F_t` and the frozen `F_∞`
-/// (`kalman_loglik_reference` is the oracle; the parity suite bounds the
-/// drift at 1e-9 relative). Use this in optimisation loops; use
+/// zero heap allocation per timestep (all state lives in `ws`). Returns
+/// exactly `kalman_filter(ssm, ys).loglik`, bit for bit: every sum is
+/// accumulated in the same order. Use this in optimisation loops; use
 /// [`kalman_filter`] when the smoother or forecaster needs the full state
 /// trajectory.
 ///
-/// Emits `kf.steady_entered` / `kf.steady_steps` / `kf.steady_entry_step`
-/// through `mic-obs` whenever the steady phase is entered.
-///
 /// # Panics
 /// Panics if the model fails validation or `ys` is empty.
-pub fn kalman_loglik(
-    ssm: &Ssm,
-    ys: &[f64],
-    ws: &mut FilterWorkspace,
-    steady: &SteadyStateOpts,
-) -> f64 {
+pub fn kalman_loglik(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) -> f64 {
     debug_assert!(ssm.validate().is_ok(), "invalid SSM: {:?}", ssm.validate());
     assert!(
         !ys.is_empty(),
@@ -491,10 +337,8 @@ pub fn kalman_loglik(
         a_filt,
         pz,
         k,
-        k_prev,
         p_pred,
         p_filt,
-        p_prev,
         tp,
         st,
         ..
@@ -504,239 +348,6 @@ pub fn kalman_loglik(
     p_pred.copy_from(&ssm.p0);
     // O(m²) scan reusing the workspace's capacity — no allocation once the
     // workspace has seen a transition of this density.
-    st.load(&ssm.transition);
-
-    let mut detect = steady.enabled();
-    let mut consec = 0usize; // consecutive sub-tolerance steps
-    let mut frozen = false;
-    let mut frozen_t = 0usize; // step whose loading the freeze is valid for
-    let mut f_star = 0.0;
-    let mut c_star = 0.0; // hoisted −0.5·(ln 2π + ln F_∞)
-    let mut entry_step = 0usize;
-    let mut steady_steps: u64 = 0;
-
-    let n = ys.len();
-    let mut loglik = 0.0;
-    let mut t = 0usize;
-    while t < n {
-        if frozen {
-            // How far does the frozen loading stay valid? Constant loadings
-            // run to the end; an intervention ramp invalidates the gain at
-            // the first step whose loading differs from the freeze step's.
-            let stop = match &ssm.loading {
-                ObsLoading::Constant(_) => n,
-                ObsLoading::TimeVarying(zs) => {
-                    let z_frozen = &zs[frozen_t];
-                    let mut s = t;
-                    while s < n && zs[s] == *z_frozen {
-                        s += 1;
-                    }
-                    s
-                }
-            };
-            if stop > t {
-                // Steady phase: mean recursion only, constant ln F hoisted,
-                // loading and skip checks lifted out of the loop.
-                let z = ssm.loading.at(frozen_t);
-                steady_steps += (stop - t) as u64;
-                if t >= ssm.n_diffuse && ssm.extra_skips.is_empty() {
-                    for &y in &ys[t..stop] {
-                        let mut zy = 0.0;
-                        for i in 0..m {
-                            zy += z[i] * a_pred[i];
-                        }
-                        let v = y - zy;
-                        loglik += c_star - 0.5 * v * v / f_star;
-                        for i in 0..m {
-                            a_filt[i] = a_pred[i] + k[i] * v;
-                        }
-                        st.mul_vec_into(a_filt, a_pred);
-                    }
-                } else {
-                    for (tt, &y) in ys.iter().enumerate().take(stop).skip(t) {
-                        let mut zy = 0.0;
-                        for i in 0..m {
-                            zy += z[i] * a_pred[i];
-                        }
-                        let v = y - zy;
-                        if tt >= ssm.n_diffuse && !ssm.extra_skips.contains(&tt) {
-                            loglik += c_star - 0.5 * v * v / f_star;
-                        }
-                        for i in 0..m {
-                            a_filt[i] = a_pred[i] + k[i] * v;
-                        }
-                        st.mul_vec_into(a_filt, a_pred);
-                    }
-                }
-                t = stop;
-                continue;
-            }
-            // The loading moved (an intervention weight started ramping):
-            // the frozen gain is no longer valid, so fall back to the exact
-            // recursion, resuming from the fixed-point covariance.
-            frozen = false;
-            consec = 0;
-        }
-
-        let y = ys[t];
-        let z = ssm.loading.at(t);
-
-        // Innovation.
-        let mut zy = 0.0;
-        for i in 0..m {
-            zy += z[i] * a_pred[i];
-        }
-        let v = y - zy;
-        // F = Z P Z' + H.
-        for i in 0..m {
-            let mut acc = 0.0;
-            for j in 0..m {
-                acc += p_pred[(i, j)] * z[j];
-            }
-            pz[i] = acc;
-        }
-        let mut f = ssm.obs_var;
-        for i in 0..m {
-            f += z[i] * pz[i];
-        }
-        // Guard: F ≥ H for any PSD P; clamp indefinite blips to the
-        // observation-variance floor (see `kalman_filter`).
-        let f = f.max(ssm.obs_var.max(1e-12));
-
-        if t >= ssm.n_diffuse && !ssm.extra_skips.contains(&t) {
-            loglik += -0.5 * (LN_2PI + f.ln() + v * v / f);
-        }
-
-        // Update: K = P Z' / F.
-        for i in 0..m {
-            k[i] = pz[i] / f;
-        }
-        for i in 0..m {
-            a_filt[i] = a_pred[i] + k[i] * v;
-        }
-        // P_filt = P − K (P Z')'.
-        p_filt.copy_from(p_pred);
-        for i in 0..m {
-            for j in 0..m {
-                p_filt[(i, j)] -= k[i] * pz[j];
-            }
-        }
-        p_filt.symmetrize();
-
-        // Predict next: a = T a_filt; P = T P_filt T' + Q.
-        st.mul_vec_into(a_filt, a_pred);
-        st.mul_into(p_filt, tp);
-        if detect {
-            // Materialise the next predicted covariance beside the current
-            // one (same arithmetic, different buffer), compare, then swap.
-            st.mul_transpose_into(tp, p_prev);
-            for i in 0..m {
-                for j in 0..m {
-                    p_prev[(i, j)] += ssm.state_cov[(i, j)];
-                }
-            }
-            p_prev.symmetrize();
-            let settled = p_prev
-                .as_slice()
-                .iter()
-                .zip(p_pred.as_slice())
-                .all(|(&next, &cur)| (next - cur).abs() <= steady.rel_tol * (1.0 + next.abs()));
-            std::mem::swap(p_pred, p_prev);
-            consec = if settled { consec + 1 } else { 0 };
-            if consec >= steady.hold {
-                // A frozen gain is only usable while the loading stays put,
-                // so never freeze right at a loading transition (post-break
-                // intervention weights move every step and simply keep the
-                // exact path).
-                let z_stable = match &ssm.loading {
-                    ObsLoading::Constant(_) => true,
-                    ObsLoading::TimeVarying(zs) => t + 1 < zs.len() && zs[t + 1] == zs[t],
-                };
-                if z_stable {
-                    mic_obs::counter("kf.steady_trigger", 1);
-                    p_prev.copy_from(p_pred);
-                    match refine_fixed_point(
-                        z,
-                        ssm.obs_var,
-                        &ssm.state_cov,
-                        st,
-                        p_prev,
-                        p_filt,
-                        tp,
-                        pz,
-                        k,
-                        k_prev,
-                    ) {
-                        Some(f_inf) => {
-                            frozen = true;
-                            frozen_t = t;
-                            f_star = f_inf;
-                            c_star = -0.5 * (LN_2PI + f_star.ln());
-                            // Resume-from point for a later loading change:
-                            // the polished fixed point, not the snapshot.
-                            std::mem::swap(p_pred, p_prev);
-                            if entry_step == 0 {
-                                entry_step = t + 1;
-                            }
-                        }
-                        // No geometric fixed point in reach — stop paying
-                        // the detection overhead for this call.
-                        None => {
-                            mic_obs::counter("kf.steady_polish_fail", 1);
-                            detect = false;
-                        }
-                    }
-                }
-            }
-        } else {
-            st.mul_transpose_into(tp, p_pred);
-            for i in 0..m {
-                for j in 0..m {
-                    p_pred[(i, j)] += ssm.state_cov[(i, j)];
-                }
-            }
-            p_pred.symmetrize();
-        }
-        t += 1;
-    }
-    if entry_step > 0 {
-        mic_obs::counter("kf.steady_entered", 1);
-        mic_obs::counter("kf.steady_steps", steady_steps);
-        mic_obs::value("kf.steady_entry_step", entry_step as f64);
-    }
-    loglik
-}
-
-/// Reference likelihood: the exact recursion at every step, kept verbatim
-/// as the oracle for the steady-state fast path. Identical to
-/// `kalman_loglik(…, &SteadyStateOpts::DISABLED)` and to
-/// `kalman_filter(ssm, ys).loglik`, bit for bit; the parity suite and the
-/// steady-state proptests compare against this function.
-///
-/// # Panics
-/// Panics if the model fails validation or `ys` is empty.
-pub fn kalman_loglik_reference(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) -> f64 {
-    debug_assert!(ssm.validate().is_ok(), "invalid SSM: {:?}", ssm.validate());
-    assert!(
-        !ys.is_empty(),
-        "kalman_loglik_reference requires at least one observation"
-    );
-    let m = ssm.state_dim();
-    ws.ensure_dim(m);
-    let FilterWorkspace {
-        a_pred,
-        a_filt,
-        pz,
-        k,
-        p_pred,
-        p_filt,
-        tp,
-        st,
-        ..
-    } = ws;
-
-    a_pred.copy_from_slice(&ssm.a0);
-    p_pred.copy_from(&ssm.p0);
     st.load(&ssm.transition);
 
     let mut loglik = 0.0;
@@ -761,6 +372,8 @@ pub fn kalman_loglik_reference(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) 
         for i in 0..m {
             f += z[i] * pz[i];
         }
+        // Guard: F ≥ H for any PSD P; clamp indefinite blips to the
+        // observation-variance floor (see `kalman_filter`).
         let f = f.max(ssm.obs_var.max(1e-12));
 
         if t >= ssm.n_diffuse && !ssm.extra_skips.contains(&t) {
@@ -924,10 +537,8 @@ mod tests {
             local_level(100.0, 0.001),
         ] {
             let full = kalman_filter(&ssm, &ys).loglik;
-            let fast = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+            let fast = kalman_loglik(&ssm, &ys, &mut ws);
             assert_eq!(full.to_bits(), fast.to_bits(), "{full} vs {fast}");
-            let reference = kalman_loglik_reference(&ssm, &ys, &mut ws);
-            assert_eq!(full.to_bits(), reference.to_bits());
         }
     }
 
@@ -945,7 +556,7 @@ mod tests {
         for spec in [StructuralSpec::local_level(), StructuralSpec::full(10)] {
             let ssm = spec.build(&params, ys.len());
             let full = kalman_filter(&ssm, &ys).loglik;
-            let fast = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+            let fast = kalman_loglik(&ssm, &ys, &mut ws);
             assert_eq!(full.to_bits(), fast.to_bits());
         }
     }
@@ -968,23 +579,23 @@ mod tests {
         let small = StructuralSpec::with_seasonal().build(&params, ys.len()); // 12-state
 
         let mut ws = FilterWorkspace::new(big.state_dim());
-        let _warm = kalman_loglik(&big, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+        let _warm = kalman_loglik(&big, &ys, &mut ws);
         let cap_probe = (
             ws.a_pred.capacity(),
             ws.p_pred.as_slice().as_ptr(),
-            ws.p_prev.as_slice().as_ptr(),
+            ws.p_filt.as_slice().as_ptr(),
         );
 
         // Shrink to 12 states, then grow back to 13: results must stay
         // bit-identical to a fresh filter and no buffer may move.
         for ssm in [&small, &big, &small, &big] {
             let full = kalman_filter(ssm, &ys).loglik;
-            let fast = kalman_loglik(ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+            let fast = kalman_loglik(ssm, &ys, &mut ws);
             assert_eq!(full.to_bits(), fast.to_bits());
         }
         assert_eq!(ws.a_pred.capacity(), cap_probe.0);
         assert_eq!(ws.p_pred.as_slice().as_ptr(), cap_probe.1);
-        assert_eq!(ws.p_prev.as_slice().as_ptr(), cap_probe.2);
+        assert_eq!(ws.p_filt.as_slice().as_ptr(), cap_probe.2);
     }
 
     #[test]
@@ -999,95 +610,12 @@ mod tests {
         ssm.n_diffuse = 0;
         let ys = vec![1.0, -2.0, 0.5, 3.0, -1.0];
         let mut ws = FilterWorkspace::new(1);
-        for steady in [SteadyStateOpts::DISABLED, SteadyStateOpts::default()] {
-            let ll = kalman_loglik(&ssm, &ys, &mut ws, &steady);
-            assert!(ll.is_finite(), "loglik must stay finite, got {ll}");
-        }
-        let reference = kalman_loglik_reference(&ssm, &ys, &mut ws);
-        assert!(reference.is_finite());
+        let ll = kalman_loglik(&ssm, &ys, &mut ws);
+        assert!(ll.is_finite(), "loglik must stay finite, got {ll}");
         let full = kalman_filter(&ssm, &ys);
         assert!(full.loglik.is_finite());
         // The clamp floors F at H = 1.0.
         assert!(full.innovation_vars.iter().all(|&f| f >= 1.0));
-    }
-
-    #[test]
-    fn steady_state_matches_reference_within_tolerance() {
-        use crate::structural::{StructuralParams, StructuralSpec};
-        let params = StructuralParams {
-            var_eps: 1.0,
-            var_level: 0.1,
-            var_seasonal: 0.01,
-        };
-        let ys: Vec<f64> = (0..120)
-            .map(|i| 30.0 + 5.0 * (i as f64 * std::f64::consts::PI / 6.0).sin())
-            .collect();
-        let mut ws = FilterWorkspace::new(12);
-        for spec in [
-            StructuralSpec::local_level(),
-            StructuralSpec::with_seasonal(),
-        ] {
-            let ssm = spec.build(&params, ys.len());
-            let reference = kalman_loglik_reference(&ssm, &ys, &mut ws);
-            let steady = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::default());
-            let rel = ((steady - reference) / reference).abs();
-            assert!(
-                rel <= 1e-9,
-                "steady drift {rel:.3e} ({steady} vs {reference})"
-            );
-        }
-    }
-
-    #[test]
-    fn steady_state_exits_and_reenters_across_loading_change() {
-        // Intervention model: the loading is constant pre-break and ramps
-        // post-break. The steady phase must freeze in the pre-break
-        // stretch, exit exactly at the break, and resume the exact
-        // recursion from the refined covariance without corrupting the
-        // likelihood.
-        use crate::structural::{StructuralParams, StructuralSpec};
-        let params = StructuralParams {
-            var_eps: 1.0,
-            var_level: 0.1,
-            var_seasonal: 0.01,
-        };
-        let t = 120;
-        let cp = 90;
-        let ys: Vec<f64> = (0..t)
-            .map(|i| {
-                let ramp = if i >= cp {
-                    (i - cp + 1) as f64 * 0.3
-                } else {
-                    0.0
-                };
-                25.0 + ramp + 2.0 * (i as f64 * std::f64::consts::PI / 6.0).sin()
-            })
-            .collect();
-        let ssm = StructuralSpec::full(cp).build(&params, t);
-        assert!(matches!(ssm.loading, ObsLoading::TimeVarying(_)));
-        let mut ws = FilterWorkspace::new(ssm.state_dim());
-        let reference = kalman_loglik_reference(&ssm, &ys, &mut ws);
-        let steady = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::default());
-        let rel = ((steady - reference) / reference).abs();
-        assert!(
-            rel <= 1e-9,
-            "steady drift {rel:.3e} ({steady} vs {reference})"
-        );
-    }
-
-    #[test]
-    fn steady_state_disabled_by_zero_tolerance() {
-        let opts = SteadyStateOpts {
-            rel_tol: 0.0,
-            hold: 3,
-        };
-        assert!(!opts.enabled());
-        let ys = vec![5.0; 50];
-        let ssm = local_level(1.0, 0.1);
-        let mut ws = FilterWorkspace::new(1);
-        let a = kalman_loglik(&ssm, &ys, &mut ws, &opts);
-        let b = kalman_loglik_reference(&ssm, &ys, &mut ws);
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
@@ -1098,18 +626,13 @@ mod tests {
         let ys: Vec<f64> = (0..20).map(|i| (i as f64).sqrt()).collect();
         let mut ws = FilterWorkspace::new(1);
         let full = kalman_filter(&ssm, &ys).loglik;
-        let fast = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+        let fast = kalman_loglik(&ssm, &ys, &mut ws);
         assert_eq!(full.to_bits(), fast.to_bits());
     }
 
     #[test]
     #[should_panic(expected = "at least one observation")]
     fn empty_series_panics_fast_path() {
-        kalman_loglik(
-            &local_level(1.0, 1.0),
-            &[],
-            &mut FilterWorkspace::new(1),
-            &SteadyStateOpts::DISABLED,
-        );
+        kalman_loglik(&local_level(1.0, 1.0), &[], &mut FilterWorkspace::new(1));
     }
 }

@@ -26,8 +26,7 @@
 //! - [`estimate`] — maximum-likelihood fitting (Nelder–Mead over
 //!   log-variances) and AIC;
 //! - [`changepoint`] — Algorithms 1 (exact) and 2 (approximate);
-//! - [`arima`] — the ARIMA(p,d,q) baseline with AIC order selection (plus a
-//!   SARIMA extension);
+//! - [`arima`] — the ARIMA(p,d,q) baseline with AIC order selection;
 //! - [`forecast`] — out-of-sample forecasting for both model families;
 //! - [`multi`] — greedy multi-change-point detection (the paper's §IX
 //!   extension);
@@ -38,16 +37,17 @@
 //! # Example: detect a slope shift
 //!
 //! ```
-//! use mic_statespace::{exact_change_point, FitOptions};
+//! use mic_statespace::{search, FilterWorkspace, FitOptions, SearchPlan};
 //!
 //! // A monthly series that starts climbing at t = 20.
 //! let ys: Vec<f64> = (0..43)
 //!     .map(|t| if t >= 20 { 10.0 + 1.5 * (t - 19) as f64 } else { 10.0 })
 //!     .collect();
-//! let opts = FitOptions { max_evals: 150, n_starts: 1, ..FitOptions::default() };
-//! let search = exact_change_point(&ys, false, &opts);
-//! assert_eq!(search.change_point.month(), Some(20));
-//! assert!(search.aic < search.aic_no_change);
+//! let opts = FitOptions { max_evals: 150, n_starts: 1, };
+//! let plan = SearchPlan::exact(false, opts);
+//! let result = search(&ys, &plan, &mut FilterWorkspace::default());
+//! assert_eq!(result.change_point.month(), Some(20));
+//! assert!(result.aic < result.aic_no_change);
 //! ```
 
 pub mod arima;
@@ -62,21 +62,14 @@ pub mod multi;
 pub mod smoother;
 pub mod structural;
 
-pub use arima::{
-    fit_arima, fit_sarima, select_arima, ArimaFit, ArimaOrder, SarimaFit, SarimaOrder,
-};
+pub use arima::{fit_arima, select_arima, ArimaFit, ArimaOrder};
 pub use changepoint::{
-    approx_change_point, approx_change_point_warm, approx_change_point_with, exact_change_point,
-    exact_change_point_par, exact_change_point_par_warm, exact_change_point_par_with,
-    exact_change_point_warm, exact_change_point_with, ChangePoint, ChangePointSearch,
-    SelectionCriterion, WarmStart,
+    search, ChangePoint, ChangePointSearch, SearchAlgorithm, SearchPlan, SelectionCriterion,
+    WarmStart,
 };
 pub use diagnostics::{diagnose_residuals, ResidualDiagnostics};
-pub use estimate::{fit_structural, fit_structural_warm_ws, FitOptions, FittedStructural};
-pub use kalman::{
-    kalman_filter, kalman_loglik, kalman_loglik_reference, FilterResult, FilterWorkspace,
-    SteadyStateOpts,
-};
+pub use estimate::{fit_structural, FitOptions, FittedStructural};
+pub use kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace};
 pub use model::Ssm;
 pub use multi::{detect_multiple, MultiChangePoints, MultiStructuralSpec};
 pub use smoother::{smooth, SmoothResult};

@@ -172,11 +172,10 @@ fn fit_multi(
     let mut ssm = spec.build(&log_params(&[], var_y), n);
     ssm.n_diffuse = lead;
     ssm.extra_skips = extra.clone();
-    let steady = opts.steady;
     let mut objective = |x: &[f64]| -> f64 {
         let params = log_params(x, var_y);
         spec.apply_params(&params, &mut ssm);
-        let loglik = kalman_loglik(&ssm, ys, ws, &steady);
+        let loglik = kalman_loglik(&ssm, ys, ws);
         if loglik.is_finite() {
             -loglik
         } else {
@@ -352,7 +351,6 @@ mod tests {
         FitOptions {
             max_evals: 200,
             n_starts: 1,
-            ..FitOptions::default()
         }
     }
 

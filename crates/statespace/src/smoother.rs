@@ -154,8 +154,9 @@ mod tests {
         // model whose MLE makes the ridge-regularised predicted covariance
         // unsolvable inside the smoother, which used to panic the whole
         // `analyze` run. The decomposition must complete instead.
-        use crate::changepoint::approx_change_point;
+        use crate::changepoint::{search, SearchPlan};
         use crate::estimate::FitOptions;
+        use crate::kalman::FilterWorkspace;
         let ys = [
             4.1566590253032825,
             0.0,
@@ -185,10 +186,13 @@ mod tests {
         let opts = FitOptions {
             max_evals: 150,
             n_starts: 1,
-            ..FitOptions::default()
         };
-        let search = approx_change_point(&ys, true, &opts);
-        let c = search.fit.decompose(&ys);
+        let result = search(
+            &ys,
+            &SearchPlan::approx(true, opts),
+            &mut FilterWorkspace::default(),
+        );
+        let c = result.fit.decompose(&ys);
         assert!(c.lambda.is_finite(), "lambda = {}", c.lambda);
     }
 

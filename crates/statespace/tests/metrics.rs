@@ -6,7 +6,7 @@
 //! This lives in its own integration-test binary (own process) so no other
 //! test's recording can leak into the global recorder.
 
-use mic_statespace::{approx_change_point, exact_change_point, FitOptions};
+use mic_statespace::{search, FilterWorkspace, FitOptions, SearchPlan};
 
 /// 43 months (the paper's horizon) with a clear level shift at month 25
 /// plus a small deterministic wiggle so fits are non-degenerate.
@@ -27,11 +27,11 @@ fn search_counters_match_fits_and_complexity() {
     let opts = FitOptions {
         max_evals: 60,
         n_starts: 1,
-        ..FitOptions::default()
     };
     let ys = series();
-    let exact = exact_change_point(&ys, false, &opts);
-    let approx = approx_change_point(&ys, false, &opts);
+    let mut ws = FilterWorkspace::default();
+    let exact = search(&ys, &SearchPlan::exact(false, opts), &mut ws);
+    let approx = search(&ys, &SearchPlan::approx(false, opts), &mut ws);
     let snap = mic_obs::snapshot();
     mic_obs::disable();
 
@@ -73,6 +73,18 @@ fn search_counters_match_fits_and_complexity() {
     assert!(evals > 0);
     assert_eq!(snap.timer("kf.loglik").unwrap().count, evals);
     assert!(snap.counter("kf.nm_evals") > 0);
+
+    // Every Nelder–Mead start either met its tolerance or hit the
+    // evaluation cap; the cap hits can never outnumber the starts, and at
+    // this 60-evaluation budget some starts do stop at the cap.
+    assert!(snap.counter("kf.nm_cap_hits") > 0);
+    assert!(
+        snap.counter("kf.nm_cap_hits") <= snap.counter("kf.fits") * opts.n_starts as u64,
+        "nm_cap_hits {} > fits {} × starts {}",
+        snap.counter("kf.nm_cap_hits"),
+        snap.counter("kf.fits"),
+        opts.n_starts
+    );
 
     // The per-search wall-time timers saw one exact and one approx search.
     assert_eq!(snap.timer("kf.search.exact").unwrap().count, 1);

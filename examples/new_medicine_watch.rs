@@ -8,7 +8,7 @@ use prescription_trends::claims::{MedicineId, Simulator, WorldSpec};
 use prescription_trends::linkmodel::{EmOptions, MedicationModel, PanelBuilder, SeriesKey};
 use prescription_trends::statespace::FitOptions;
 use prescription_trends::trend::report::{sparkline, TextTable};
-use prescription_trends::trend::{PipelineConfig, TrendPipeline};
+use prescription_trends::trend::{PipelineConfig, Stage2Detect};
 
 fn main() {
     let spec = WorldSpec {
@@ -41,11 +41,10 @@ fn main() {
     let panel = builder.build();
 
     // Analyse every medicine series with an upward slope-shift change.
-    let pipeline = TrendPipeline::new(PipelineConfig {
+    let stage2 = Stage2Detect::from_config(&PipelineConfig {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            ..FitOptions::default()
         },
         ..Default::default()
     });
@@ -63,7 +62,7 @@ fn main() {
         if series.iter().sum::<f64>() < 10.0 {
             continue;
         }
-        let report = pipeline.analyze_series(SeriesKey::Medicine(id), series);
+        let report = stage2.analyze_series(SeriesKey::Medicine(id), series);
         let truth = world.medicines[m].release_month;
         if truth.is_some() {
             launches += 1;

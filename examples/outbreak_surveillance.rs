@@ -81,7 +81,6 @@ fn main() {
         fit: FitOptions {
             max_evals: 200,
             n_starts: 1,
-            ..FitOptions::default()
         },
         ..Default::default()
     };

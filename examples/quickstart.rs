@@ -36,11 +36,12 @@ fn main() {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            ..FitOptions::default()
         },
         ..PipelineConfig::default()
     };
-    let report = TrendPipeline::new(config).run(&dataset);
+    let report = TrendPipeline::new(config)
+        .run(&dataset)
+        .expect("simulated months are sequential");
 
     let (rd, rm, rp) = report.detection_rates();
     println!();

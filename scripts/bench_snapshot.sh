@@ -8,9 +8,6 @@
 #  - the `session` bench group (appending month T+1 to a warm
 #    AnalysisSession vs re-running the batch pipeline on the extended
 #    window; the append/batch ratio must stay < 50%) -> BENCH_session.json
-#  - the `kalman_steady` bench group (exact vs steady-state likelihood at
-#    T=60/120/172 plus the end-to-end change-detection stage; the
-#    LL_T120 exact/steady ratio must stay >= 2x) -> BENCH_kalman_steady.json
 #
 #   ./scripts/bench_snapshot.sh                # -> results/bench/BENCH_*.json
 #   BENCH_JSON_DIR=/tmp ./scripts/bench_snapshot.sh
@@ -26,22 +23,4 @@ echo "==> em engine bench (JSON -> $out)"
 BENCH_JSON_DIR="$out" cargo bench -p mic-bench --bench em
 echo "==> incremental session bench (JSON -> $out)"
 BENCH_JSON_DIR="$out" cargo bench -p mic-bench --bench session
-echo "==> steady-state Kalman bench (JSON -> $out)"
-BENCH_JSON_DIR="$out" cargo bench -p mic-bench --bench kalman_steady
-
-echo "==> steady-state speedup gate (LL_T120 exact/steady >= 2x)"
-python3 - "$out/BENCH_kalman_steady.json" <<'PY'
-import json, sys
-
-entries = json.load(open(sys.argv[1]))
-mean = {e["bench"]: e["mean_ns"] for e in entries}
-exact = mean["loglik_path_exact/LL_T120"]
-steady = mean["loglik_path_steady/LL_T120"]
-ratio = exact / steady
-print(f"LL_T120: exact {exact:.0f} ns vs steady {steady:.0f} ns -> {ratio:.2f}x")
-if ratio < 2.0:
-    sys.exit(f"steady-state gate: LL_T120 speedup {ratio:.2f}x < 2x")
-PY
-
-ls -l "$out"/BENCH_obs.json "$out"/BENCH_em.json "$out"/BENCH_session.json \
-    "$out"/BENCH_kalman_steady.json
+ls -l "$out"/BENCH_obs.json "$out"/BENCH_em.json "$out"/BENCH_session.json

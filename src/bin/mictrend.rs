@@ -18,9 +18,9 @@
 
 use prescription_trends::claims::store::{read_dataset, write_dataset};
 use prescription_trends::claims::{DatasetStats, DiseaseId, MedicineId, Simulator, WorldSpec};
-use prescription_trends::statespace::{FitOptions, SteadyStateOpts};
+use prescription_trends::statespace::FitOptions;
 use prescription_trends::trend::report::{detected_changes_table, sparkline};
-use prescription_trends::trend::{AnalysisSession, PipelineConfig, TrendPipeline};
+use prescription_trends::trend::{AnalysisSession, PipelineConfig, Stage2Detect, TrendPipeline};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -45,13 +45,9 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   mictrend simulate --out FILE [--seed N] [--months N] [--patients N] [--diseases N] [--medicines N]
   mictrend stats    --data FILE
-  mictrend analyze  --data FILE [--exact] [--no-seasonal] [--no-steady] [--top N] [--metrics FILE] [--progress] [--incremental]
-  mictrend append   --data FILE [--tail N] [--continuity X] [--exact] [--no-seasonal] [--no-steady] [--check-batch] [--metrics FILE]
+  mictrend analyze  --data FILE [--exact] [--no-seasonal] [--top N] [--metrics FILE] [--progress] [--incremental]
+  mictrend append   --data FILE [--tail N] [--continuity X] [--exact] [--no-seasonal] [--check-batch] [--metrics FILE]
   mictrend series   --data FILE --kind disease|medicine --id N
-
-  --no-steady     disable the steady-state Kalman fast path (exact
-                  covariance recursion at every step; decisions are
-                  identical either way, this exists for A/B timing)
 
   --metrics FILE  write an instrumentation snapshot (JSONL: em.*, kf.*,
                   pipeline.*, session.* counters/timers plus derived cost units)
@@ -85,7 +81,7 @@ impl Flags {
             // Boolean switches take no value.
             if matches!(
                 name,
-                "exact" | "no-seasonal" | "no-steady" | "progress" | "incremental" | "check-batch"
+                "exact" | "no-seasonal" | "progress" | "incremental" | "check-batch"
             ) {
                 switches.push(name.to_string());
                 i += 1;
@@ -204,14 +200,6 @@ fn snapshot_with_cost_units() -> mic_obs::Snapshot {
     snap
 }
 
-fn steady_opts(flags: &Flags) -> SteadyStateOpts {
-    if flags.has("no-steady") {
-        SteadyStateOpts::DISABLED
-    } else {
-        SteadyStateOpts::default()
-    }
-}
-
 fn analyze(flags: &Flags) -> Result<(), String> {
     let dataset = load(flags)?;
     let top: usize = flags.get_num("top", 15usize)?;
@@ -226,7 +214,6 @@ fn analyze(flags: &Flags) -> Result<(), String> {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            steady: steady_opts(flags),
         },
         ..Default::default()
     };
@@ -262,10 +249,11 @@ fn analyze(flags: &Flags) -> Result<(), String> {
             dataset.n_diseases,
             dataset.n_medicines,
         );
-        for month in &dataset.months {
-            session.append_month(month).map_err(|e| e.to_string())?;
-        }
-        session.analyze()
+        dataset
+            .months
+            .iter()
+            .try_for_each(|month| session.append_month(month))
+            .map(|()| session.analyze())
     } else {
         TrendPipeline::new(config).run(&dataset)
     };
@@ -273,6 +261,7 @@ fn analyze(flags: &Flags) -> Result<(), String> {
     if let Some(handle) = ticker {
         let _ = handle.join();
     }
+    let report = report.map_err(|e| e.to_string())?;
     if let Some(path) = &metrics_path {
         let snap = snapshot_with_cost_units();
         std::fs::write(path, snap.to_jsonl())
@@ -327,7 +316,6 @@ fn append(flags: &Flags) -> Result<(), String> {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            steady: steady_opts(flags),
         },
         ..Default::default()
     };
@@ -407,7 +395,9 @@ fn append(flags: &Flags) -> Result<(), String> {
         eprintln!("metrics snapshot written to {path}");
     }
     if flags.has("check-batch") {
-        let batch = TrendPipeline::new(config).run(&dataset);
+        let batch = TrendPipeline::new(config)
+            .run(&dataset)
+            .map_err(|e| e.to_string())?;
         // Warm refits can land on slightly different likelihood optima than
         // a cold batch fit, so decisions near the AIC boundary may drift.
         // Report that drift, then verify the incremental Stage-1 state the
@@ -465,13 +455,12 @@ fn series(flags: &Flags) -> Result<(), String> {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            steady: steady_opts(flags),
         },
         seasonal: dataset.horizon() >= 16,
         ..Default::default()
     };
-    let pipeline = TrendPipeline::new(config);
-    let panel = pipeline.reproduce_panel(&dataset);
+    let session = AnalysisSession::from_dataset(&config, &dataset).map_err(|e| e.to_string())?;
+    let panel = session.panel();
     let (key, ys) = match kind {
         "disease" => {
             if id as usize >= dataset.n_diseases {
@@ -501,7 +490,7 @@ fn series(flags: &Flags) -> Result<(), String> {
         );
     }
     if ys.iter().sum::<f64>() >= 10.0 {
-        let report = pipeline.analyze_series(key, &ys);
+        let report = Stage2Detect::from_config(&config).analyze_series(key, &ys);
         println!(
             "change point: {} (AIC gain {:.2}, lambda {:+.3})",
             report.change_point,

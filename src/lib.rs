@@ -40,7 +40,7 @@
 //!
 //! // Reproduce prescription series and detect trend changes.
 //! let config = PipelineConfig { seasonal: false, ..PipelineConfig::default() };
-//! let report = TrendPipeline::new(config).run(&dataset);
+//! let report = TrendPipeline::new(config).run(&dataset).unwrap();
 //! for change in report.detected().iter().take(3) {
 //!     println!("{}: change at {}", change.key, change.change_point);
 //! }

@@ -168,3 +168,32 @@ fn bad_usage_fails_gracefully() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
     let _ = std::fs::remove_file(&data);
 }
+
+#[test]
+fn out_of_range_entity_id_is_a_clean_error() {
+    // A well-formed file whose record names a disease past the `dims`
+    // line: every command that loads it must exit with a parse error
+    // (status 1), not an index-out-of-bounds panic (status 101).
+    let data = temp_path("foreign-id.mic");
+    std::fs::write(
+        &data,
+        "#mic-claims v1\nstart 2013 3\ndims 2 3\nmonth 0 1\nr 0 0|5:1|0|5\n",
+    )
+    .unwrap();
+    let path = data.to_str().unwrap();
+    for args in [
+        vec!["analyze", "--data", path],
+        vec!["append", "--data", path],
+        vec!["series", "--data", path, "--kind", "disease", "--id", "0"],
+    ] {
+        let out = mictrend().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("line 5"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("disease id 5 out of range"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&data);
+}

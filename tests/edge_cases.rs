@@ -6,7 +6,7 @@ use prescription_trends::claims::{
 };
 use prescription_trends::linkmodel::{EmOptions, MedicationModel, PanelBuilder};
 use prescription_trends::statespace::{
-    exact_change_point, fit_structural, FitOptions, StructuralSpec,
+    fit_structural, search, FilterWorkspace, FitOptions, SearchPlan, StructuralSpec,
 };
 
 fn record(diseases: Vec<(u32, u32)>, meds: Vec<u32>) -> MicRecord {
@@ -128,20 +128,20 @@ fn structural_fit_on_all_zero_series() {
     // Sparse prescription pairs are zero for long stretches; an all-zero
     // window must not produce NaNs or spurious change points.
     let ys = vec![0.0; 43];
-    let search = exact_change_point(
+    let fit = FitOptions {
+        max_evals: 120,
+        n_starts: 1,
+    };
+    let result = search(
         &ys,
-        false,
-        &FitOptions {
-            max_evals: 120,
-            n_starts: 1,
-            ..FitOptions::default()
-        },
+        &SearchPlan::exact(false, fit),
+        &mut FilterWorkspace::default(),
     );
-    assert!(search.aic.is_finite());
+    assert!(result.aic.is_finite());
     assert!(
-        search.change_point.month().is_none(),
+        result.change_point.month().is_none(),
         "all-zero series has no change point: {:?}",
-        search.change_point
+        result.change_point
     );
 }
 
@@ -177,14 +177,14 @@ fn change_point_search_on_minimum_length_series() {
     // Shortest series the seasonal-free search accepts: skip 2 + 2 → n ≥ 5
     // plus candidate room.
     let ys = vec![1.0, 2.0, 1.5, 2.5, 1.0, 2.0, 3.0, 2.0];
-    let search = exact_change_point(
+    let fit = FitOptions {
+        max_evals: 80,
+        n_starts: 1,
+    };
+    let result = search(
         &ys,
-        false,
-        &FitOptions {
-            max_evals: 80,
-            n_starts: 1,
-            ..FitOptions::default()
-        },
+        &SearchPlan::exact(false, fit),
+        &mut FilterWorkspace::default(),
     );
-    assert!(search.aic.is_finite());
+    assert!(result.aic.is_finite());
 }

@@ -16,7 +16,6 @@ fn fast_config(seasonal: bool) -> PipelineConfig {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            ..FitOptions::default()
         },
         approximate_search: true,
         ..Default::default()
@@ -55,7 +54,7 @@ fn pipeline_detects_planted_new_medicine() {
     let world = b.build();
     let ds = Simulator::new(&world, 3).run();
 
-    let report = TrendPipeline::new(fast_config(false)).run(&ds);
+    let report = TrendPipeline::new(fast_config(false)).run(&ds).unwrap();
     let med_report = report
         .report_for(SeriesKey::Medicine(new_med))
         .expect("new medicine series analysed");
@@ -122,7 +121,7 @@ fn pipeline_categorises_indication_expansion_as_prescription_derived() {
     let world = b.build();
     let ds = Simulator::new(&world, 5).run();
 
-    let report = TrendPipeline::new(fast_config(false)).run(&ds);
+    let report = TrendPipeline::new(fast_config(false)).run(&ds).unwrap();
     let key = SeriesKey::Prescription(d_new, med);
     let pair = report.report_for(key).expect("pair series analysed");
     let cp = pair
@@ -161,7 +160,7 @@ fn pipeline_handles_generated_world_without_panicking() {
     };
     let world = spec.generate();
     let ds = Simulator::new(&world, 11).run();
-    let report = TrendPipeline::new(fast_config(false)).run(&ds);
+    let report = TrendPipeline::new(fast_config(false)).run(&ds).unwrap();
     assert!(!report.series.is_empty());
     // Every report references a series that exists in the panel and the
     // change point, if any, is inside the window.
@@ -196,8 +195,8 @@ fn store_round_trip_preserves_pipeline_results() {
     let ds2 = prescription_trends::claims::store::read_dataset(&buf[..]).unwrap();
 
     let pipeline = TrendPipeline::new(fast_config(false));
-    let a = pipeline.run(&ds);
-    let b = pipeline.run(&ds2);
+    let a = pipeline.run(&ds).unwrap();
+    let b = pipeline.run(&ds2).unwrap();
     assert_eq!(a.series.len(), b.series.len());
     for (x, y) in a.series.iter().zip(&b.series) {
         assert_eq!(x.key, y.key);

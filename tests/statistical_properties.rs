@@ -4,7 +4,7 @@
 use prescription_trends::claims::{Simulator, WorldSpec};
 use prescription_trends::linkmodel::{EmOptions, MedicationModel, PanelBuilder, SeriesKey};
 use prescription_trends::statespace::FitOptions;
-use prescription_trends::trend::{PipelineConfig, TrendPipeline};
+use prescription_trends::trend::{AnalysisSession, PipelineConfig, Stage2Detect};
 use proptest::prelude::*;
 
 fn small_spec() -> impl Strategy<Value = WorldSpec> {
@@ -62,20 +62,20 @@ proptest! {
         // the exhaustive search.
         let world = spec.generate();
         let ds = Simulator::new(&world, spec.seed ^ 2).run();
-        let fit = FitOptions { max_evals: 100, n_starts: 1, ..FitOptions::default() };
-        let exact = TrendPipeline::new(PipelineConfig {
+        let fit = FitOptions { max_evals: 100, n_starts: 1, };
+        let config = PipelineConfig {
             seasonal: false,
             approximate_search: false,
             fit,
             ..Default::default()
-        });
-        let approx = TrendPipeline::new(PipelineConfig {
-            seasonal: false,
+        };
+        let exact = Stage2Detect::from_config(&config);
+        let approx = Stage2Detect::from_config(&PipelineConfig {
             approximate_search: true,
-            fit,
-            ..Default::default()
+            ..config.clone()
         });
-        let panel = exact.reproduce_panel(&ds);
+        let session = AnalysisSession::from_dataset(&config, &ds).unwrap();
+        let panel = session.panel();
         // Restrict to medicine series (cheap but representative).
         let keys: Vec<SeriesKey> = panel
             .filtered_keys(10.0)
