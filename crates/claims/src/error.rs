@@ -1,4 +1,4 @@
-//! Typed validation errors for MIC records and datasets.
+//! Typed validation errors for MIC records, datasets and world specs.
 //!
 //! Replaces the stringly `Result<(), String>` returns of
 //! [`crate::record::MicRecord::validate`] and
@@ -31,6 +31,12 @@ pub enum ClaimsError {
         what: &'static str,
         id: u32,
         limit: usize,
+    },
+    /// A `WorldSpec` field is below the generator's minimum.
+    SpecTooSmall {
+        what: &'static str,
+        value: usize,
+        min: usize,
     },
     /// A record-level error, located within its month.
     Record {
@@ -66,6 +72,9 @@ impl fmt::Display for ClaimsError {
             }
             ClaimsError::IdOutOfRange { what, id, limit } => {
                 write!(f, "{what} id {id} out of range (catalogue size {limit})")
+            }
+            ClaimsError::SpecTooSmall { what, value, min } => {
+                write!(f, "world spec has {value} {what}, need at least {min}")
             }
             ClaimsError::Record {
                 month,

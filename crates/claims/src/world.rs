@@ -13,6 +13,7 @@ use crate::catalog::{
     City, Disease, DiseaseKind, Hospital, HospitalClass, Indication, MarketEvent, Medicine,
     MedicineClass,
 };
+use crate::error::ClaimsError;
 use crate::ids::{CityId, DiseaseId, HospitalId, MedicineId, Month, PatientId, YearMonth};
 use crate::seasonality::{OutbreakEvent, SeasonalProfile};
 use mic_stats::dist::{sample_categorical, sample_gamma, sample_poisson};
@@ -616,13 +617,30 @@ impl WorldSpec {
         }
     }
 
+    /// Check that the spec is large enough to generate: at least 4
+    /// diseases, 6 medicines and 13 months (more than a year, for
+    /// seasonality).
+    pub fn validate(&self) -> Result<(), ClaimsError> {
+        for (what, value, min) in [
+            ("diseases", self.n_diseases, 4),
+            ("medicines", self.n_medicines, 6),
+            ("months", self.months as usize, 13),
+        ] {
+            if value < min {
+                return Err(ClaimsError::SpecTooSmall { what, value, min });
+            }
+        }
+        Ok(())
+    }
+
     /// Generate the world.
+    ///
+    /// # Panics
+    /// Panics if [`WorldSpec::validate`] rejects the spec.
     pub fn generate(&self) -> World {
-        assert!(
-            self.n_diseases >= 4 && self.n_medicines >= 6,
-            "world too small to be interesting"
-        );
-        assert!(self.months >= 13, "need more than a year for seasonality");
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut b = WorldBuilder::new(self.start, self.months);
 
@@ -986,6 +1004,19 @@ mod tests {
             assert!(ind.medicine.index() < w.medicines.len());
             assert!(ind.strength > 0.0);
         }
+    }
+
+    #[test]
+    fn validate_rejects_worlds_too_small_to_generate() {
+        assert_eq!(WorldSpec::tiny().validate(), Ok(()));
+        let too_small = |what, value, min| Err(ClaimsError::SpecTooSmall { what, value, min });
+        let mut spec = WorldSpec::tiny();
+        spec.months = 12;
+        assert_eq!(spec.validate(), too_small("months", 12, 13));
+        spec.n_medicines = 5;
+        assert_eq!(spec.validate(), too_small("medicines", 5, 6));
+        spec.n_diseases = 3;
+        assert_eq!(spec.validate(), too_small("diseases", 3, 4));
     }
 
     #[test]

@@ -19,7 +19,11 @@ use mic_stats::sample_variance;
 /// Fitting options.
 #[derive(Clone, Copy, Debug)]
 pub struct FitOptions {
-    /// Maximum likelihood evaluations per optimisation start.
+    /// Maximum likelihood evaluations per optimisation start. The cap is
+    /// checked once per Nelder–Mead iteration, and one iteration can spend
+    /// up to n + 2 evaluations (reflection, contraction, then a shrink of n
+    /// vertices, n = the number of estimated variances), so a start can
+    /// overrun the cap by up to n + 1 evaluations.
     pub max_evals: usize,
     /// Extra restarts from perturbed initial points (best result wins).
     pub n_starts: usize,

@@ -254,6 +254,17 @@ pub fn kalman_filter(ssm: &Ssm, ys: &[f64]) -> FilterResult {
     out
 }
 
+/// How the likelihood kernel applies one row of the transition `T`.
+#[derive(Clone, Copy, Debug)]
+enum TransitionRow {
+    /// `T_i = e_src`: the row's only nonzero is a `1.0` in column `src`, so
+    /// it copies state `src` forward.
+    Unit(usize),
+    /// Any other row; the payload is its index among the general rows (its
+    /// row of the workspace's `T·P_filt` block).
+    General(usize),
+}
+
 /// Pre-allocated buffers for [`kalman_loglik`], reusable across filter runs.
 ///
 /// Maximum-likelihood fitting evaluates the likelihood hundreds of times per
@@ -278,8 +289,13 @@ pub struct FilterWorkspace {
     k: Vec<f64>,
     p_pred: Mat,
     p_filt: Mat,
-    tp: Mat,
+    /// `T·P_filt` for the general rows of `T` only, row-major.
+    tp: Vec<f64>,
     st: SparseTransition,
+    /// `T` compiled row by row (see [`TransitionRow`]).
+    rows: Vec<TransitionRow>,
+    /// The nonzero entries `(i, Z_t[i])` of the current `Z_t`, ascending.
+    z_nz: Vec<(usize, f64)>,
 }
 
 impl FilterWorkspace {
@@ -310,17 +326,68 @@ impl FilterWorkspace {
         }
         self.p_pred.resize(m, m);
         self.p_filt.resize(m, m);
-        self.tp.resize(m, m);
+        self.z_nz.clear();
+        self.z_nz.reserve(m);
+    }
+
+    /// Compile `t` into unit and general rows and size the `T·P_filt`
+    /// block; reuses capacity like [`FilterWorkspace::ensure_dim`].
+    fn compile(&mut self, t: &Mat) {
+        self.st.load(t);
+        self.rows.clear();
+        let mut n_general = 0;
+        for r in 0..t.rows() {
+            let row = match self.st.row(r) {
+                (&[src], [1.0]) => TransitionRow::Unit(src),
+                _ => {
+                    n_general += 1;
+                    TransitionRow::General(n_general - 1)
+                }
+            };
+            self.rows.push(row);
+        }
+        self.tp.clear();
+        self.tp.resize(n_general * t.cols(), 0.0);
     }
 }
 
-/// Log-likelihood of `ys` under `ssm` — the same recursion and arithmetic
-/// order as [`kalman_filter`], computing only the scalar likelihood with
-/// zero heap allocation per timestep (all state lives in `ws`). Returns
-/// exactly `kalman_filter(ssm, ys).loglik`, bit for bit: every sum is
-/// accumulated in the same order. Use this in optimisation loops; use
-/// [`kalman_filter`] when the smoother or forecaster needs the full state
-/// trajectory.
+/// `Σ_k lhs[k]·T[r][k]` over row `r`'s nonzeros, ascending `k`.
+#[inline]
+fn dot_row(lhs: &[f64], (cols, vals): (&[usize], &[f64])) -> f64 {
+    let mut acc = 0.0;
+    for (&c, &x) in cols.iter().zip(vals) {
+        acc += lhs[c] * x;
+    }
+    acc
+}
+
+/// Log-likelihood of `ys` under `ssm`: returns exactly
+/// `kalman_filter(ssm, ys).loglik`, bit for bit, with zero heap allocation
+/// once `ws` has seen the model's dimension. Use this in optimisation loops;
+/// use [`kalman_filter`] when the smoother or forecaster needs the full
+/// state trajectory.
+///
+/// `T` is compiled once per call into unit rows (`T_i = e_src`, 12 of the
+/// paper's 13 rows) and general sparse rows, and each step touches only what
+/// can be nonzero:
+///
+/// - `z·a`, `P·z` and `F` run over `Z_t`'s nonzero indices only;
+/// - `P_filt = sym(P − k·pzᵀ)` is the oracle's rank-1 update and
+///   `symmetrize`, run row by row over contiguous slices;
+/// - `T·P_filt` is built for the general rows only;
+/// - each upper-triangle entry of `T·P_filt·Tᵀ` is an index copy
+///   `P_filt[src_i][src_j]` (unit × unit), the entry `(T·P_filt)[g][src]`
+///   (unit × general: `P_filt` is exactly symmetric, so this equals both
+///   dense orders), or, for general × general, both dense orders averaged;
+///   `Q` is added to both halves before they are averaged, as the oracle's
+///   `+ Q` and `symmetrize` do.
+///
+/// Every retained sum keeps the oracle's term order. A skipped term is
+/// `0·x` with `x` finite, an exact zero, which can only flip the sign of an
+/// exact-zero sum; that sign never reaches the likelihood, because
+/// `F ≥ H > 0` and `v` enters only as `v²`. (Only a recursion that overflows
+/// to ±∞, where the oracle's `0·∞` terms are NaN, could tell the two apart;
+/// the fitting code clamps the variances far below that.)
 ///
 /// # Panics
 /// Panics if the model fails validation or `ys` is empty.
@@ -332,6 +399,7 @@ pub fn kalman_loglik(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) -> f64 {
     );
     let m = ssm.state_dim();
     ws.ensure_dim(m);
+    ws.compile(&ssm.transition);
     let FilterWorkspace {
         a_pred,
         a_filt,
@@ -341,36 +409,38 @@ pub fn kalman_loglik(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) -> f64 {
         p_filt,
         tp,
         st,
+        rows,
+        z_nz,
         ..
     } = ws;
 
     a_pred.copy_from_slice(&ssm.a0);
     p_pred.copy_from(&ssm.p0);
-    // O(m²) scan reusing the workspace's capacity — no allocation once the
-    // workspace has seen a transition of this density.
-    st.load(&ssm.transition);
+    let q = ssm.state_cov.as_slice();
 
     let mut loglik = 0.0;
     for (t, &y) in ys.iter().enumerate() {
         let z = ssm.loading.at(t);
+        z_nz.clear();
+        z_nz.extend(z.iter().copied().enumerate().filter(|&(_, zi)| zi != 0.0));
 
-        // Innovation.
+        // Innovation and F = Z P Z' + H over Z_t's nonzeros.
         let mut zy = 0.0;
-        for i in 0..m {
-            zy += z[i] * a_pred[i];
+        for &(i, zi) in z_nz.iter() {
+            zy += zi * a_pred[i];
         }
         let v = y - zy;
-        // F = Z P Z' + H.
-        for i in 0..m {
+        let p = p_pred.as_slice();
+        for (out, row) in pz.iter_mut().zip(p.chunks_exact(m)) {
             let mut acc = 0.0;
-            for j in 0..m {
-                acc += p_pred[(i, j)] * z[j];
+            for &(j, zj) in z_nz.iter() {
+                acc += row[j] * zj;
             }
-            pz[i] = acc;
+            *out = acc;
         }
         let mut f = ssm.obs_var;
-        for i in 0..m {
-            f += z[i] * pz[i];
+        for &(i, zi) in z_nz.iter() {
+            f += zi * pz[i];
         }
         // Guard: F ≥ H for any PSD P; clamp indefinite blips to the
         // observation-variance floor (see `kalman_filter`).
@@ -380,32 +450,66 @@ pub fn kalman_loglik(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) -> f64 {
             loglik += -0.5 * (LN_2PI + f.ln() + v * v / f);
         }
 
-        // Update: K = P Z' / F.
+        // Update: K = P Z' / F; P_filt = sym(P − K (P Z')').
         for i in 0..m {
             k[i] = pz[i] / f;
-        }
-        for i in 0..m {
             a_filt[i] = a_pred[i] + k[i] * v;
         }
-        // P_filt = P − K (P Z')'.
-        p_filt.copy_from(p_pred);
-        for i in 0..m {
-            for j in 0..m {
-                p_filt[(i, j)] -= k[i] * pz[j];
+        let rank1 = p_filt.as_mut_slice().chunks_exact_mut(m);
+        for ((frow, prow), &ki) in rank1.zip(p.chunks_exact(m)).zip(k.iter()) {
+            for ((out, &p_ij), &pz_j) in frow.iter_mut().zip(prow).zip(pz.iter()) {
+                *out = p_ij - ki * pz_j;
             }
         }
         p_filt.symmetrize();
+        let pf = p_filt.as_slice();
 
-        // Predict next: a = T a_filt; P = T P_filt T' + Q.
-        st.mul_vec_into(a_filt, a_pred);
-        st.mul_into(p_filt, tp);
-        st.mul_transpose_into(tp, p_pred);
-        for i in 0..m {
-            for j in 0..m {
-                p_pred[(i, j)] += ssm.state_cov[(i, j)];
+        // Predict next: a = T a_filt; P = sym(T P_filt T' + Q).
+        for (i, row) in rows.iter().enumerate() {
+            match *row {
+                TransitionRow::Unit(src) => a_pred[i] = a_filt[src],
+                TransitionRow::General(g) => {
+                    let (cols, vals) = st.row(i);
+                    a_pred[i] = dot_row(a_filt, (cols, vals));
+                    let out = &mut tp[g * m..(g + 1) * m];
+                    out.fill(0.0);
+                    for (&c, &x) in cols.iter().zip(vals) {
+                        for (o, pv) in out.iter_mut().zip(&pf[c * m..(c + 1) * m]) {
+                            *o += x * pv;
+                        }
+                    }
+                }
             }
         }
-        p_pred.symmetrize();
+        // Row r of T·P_filt: row src of P_filt for a unit row, else its
+        // row of `tp`.
+        let b_row = |r: usize| match rows[r] {
+            TransitionRow::Unit(src) => &pf[src * m..(src + 1) * m],
+            TransitionRow::General(g) => &tp[g * m..(g + 1) * m],
+        };
+        let pp = p_pred.as_mut_slice();
+        for i in 0..m {
+            let bi = b_row(i);
+            pp[i * m + i] = match rows[i] {
+                TransitionRow::Unit(src) => bi[src],
+                TransitionRow::General(_) => dot_row(bi, st.row(i)),
+            } + q[i * m + i];
+            for j in i + 1..m {
+                let (x_ij, x_ji) = match (rows[i], rows[j]) {
+                    (_, TransitionRow::Unit(sj)) => (bi[sj], bi[sj]),
+                    (TransitionRow::Unit(si), TransitionRow::General(_)) => {
+                        let x = b_row(j)[si];
+                        (x, x)
+                    }
+                    (TransitionRow::General(_), TransitionRow::General(_)) => {
+                        (dot_row(bi, st.row(j)), dot_row(b_row(j), st.row(i)))
+                    }
+                };
+                let s = 0.5 * ((x_ij + q[i * m + j]) + (x_ji + q[j * m + i]));
+                pp[i * m + j] = s;
+                pp[j * m + i] = s;
+            }
+        }
     }
     loglik
 }
@@ -580,11 +684,27 @@ mod tests {
 
         let mut ws = FilterWorkspace::new(big.state_dim());
         let _warm = kalman_loglik(&big, &ys, &mut ws);
-        let cap_probe = (
-            ws.a_pred.capacity(),
-            ws.p_pred.as_slice().as_ptr(),
-            ws.p_filt.as_slice().as_ptr(),
-        );
+        // Capacity and address of every buffer the kernel (re)fills.
+        fn buf<T>(v: &Vec<T>) -> (usize, usize) {
+            (v.capacity(), v.as_ptr() as usize)
+        }
+        let probes = |ws: &FilterWorkspace| {
+            vec![
+                buf(&ws.a_pred),
+                buf(&ws.a_filt),
+                buf(&ws.pz),
+                buf(&ws.k),
+                buf(&ws.tp),
+                buf(&ws.rows),
+                buf(&ws.z_nz),
+                buf(&ws.st.row_ptr),
+                buf(&ws.st.col),
+                buf(&ws.st.val),
+                (0, ws.p_pred.as_slice().as_ptr() as usize),
+                (0, ws.p_filt.as_slice().as_ptr() as usize),
+            ]
+        };
+        let before = probes(&ws);
 
         // Shrink to 12 states, then grow back to 13: results must stay
         // bit-identical to a fresh filter and no buffer may move.
@@ -593,9 +713,7 @@ mod tests {
             let fast = kalman_loglik(ssm, &ys, &mut ws);
             assert_eq!(full.to_bits(), fast.to_bits());
         }
-        assert_eq!(ws.a_pred.capacity(), cap_probe.0);
-        assert_eq!(ws.p_pred.as_slice().as_ptr(), cap_probe.1);
-        assert_eq!(ws.p_filt.as_slice().as_ptr(), cap_probe.2);
+        assert_eq!(probes(&ws), before);
     }
 
     #[test]

@@ -3,11 +3,14 @@
 use mic_statespace::arima::{difference, fit_arima, ArimaFitOptions, ArimaOrder};
 use mic_statespace::estimate::{fit_structural, FitOptions};
 use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace};
+use mic_statespace::model::{ObsLoading, Ssm};
+use mic_statespace::multi::MultiStructuralSpec;
 use mic_statespace::smoother::smooth;
 use mic_statespace::structural::{InterventionSpec, StructuralParams, StructuralSpec};
+use mic_stats::Mat;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn fast_fit() -> FitOptions {
     FitOptions {
@@ -45,39 +48,6 @@ proptest! {
         for v in &f.innovation_vars {
             prop_assert!(*v > 0.0);
         }
-    }
-
-    #[test]
-    fn fast_loglik_matches_filter_loglik(
-        seed in 0u64..200,
-        var_eps in 0.01..10.0f64,
-        var_level in 0.0001..5.0f64,
-        var_seasonal in 0.0..1.0f64,
-        spec_kind in 0usize..4,
-        n in 16usize..60,
-    ) {
-        // The allocation-free likelihood path must agree with the full
-        // filter on every spec shape (ISSUE acceptance: parity to 1e-12;
-        // the implementation mirrors the summation order, so in practice
-        // they are bit-identical).
-        let ys = gen_series(seed, n, None);
-        let spec = match spec_kind {
-            0 => StructuralSpec::local_level(),
-            1 => StructuralSpec::with_seasonal(),
-            2 => StructuralSpec::with_intervention(n / 2),
-            _ => StructuralSpec::full(n / 3),
-        };
-        let params = StructuralParams { var_eps, var_level, var_seasonal };
-        let mut ssm = spec.build(&params, ys.len());
-        ssm.n_diffuse = spec.state_dim();
-        let full = kalman_filter(&ssm, &ys).loglik;
-        let mut ws = FilterWorkspace::new(spec.state_dim());
-        let fast = kalman_loglik(&ssm, &ys, &mut ws);
-        prop_assert!((full - fast).abs() <= 1e-12 * full.abs().max(1.0),
-            "full {full} vs fast {fast}");
-        // A dirty, previously-used workspace must not change the answer.
-        let again = kalman_loglik(&ssm, &ys, &mut ws);
-        prop_assert_eq!(fast.to_bits(), again.to_bits());
     }
 
     #[test]
@@ -192,5 +162,116 @@ proptest! {
                 prop_assert_eq!(w, 0.0);
             }
         }
+    }
+}
+
+proptest! {
+    // The likelihood kernel is cheap to check; run many more cases than the
+    // fitting properties above.
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn fast_loglik_matches_filter_loglik(
+        seed in 0u64..200,
+        var_eps in 0.01..10.0f64,
+        var_level in 0.0001..5.0f64,
+        var_seasonal in 0.0..1.0f64,
+        zero_seasonal in 0usize..4,
+        spec_kind in 0usize..5,
+        n in 16usize..60,
+        skip_shift in 0usize..5,
+        skip_seed in 0u64..1000,
+    ) {
+        // The likelihood kernel's contract is bit identity with the full
+        // filter on every spec shape, including a zero seasonal variance,
+        // any leading skip and arbitrary extra skipped innovations.
+        let ys = gen_series(seed, n, None);
+        let var_seasonal = if zero_seasonal == 0 { 0.0 } else { var_seasonal };
+        let params = StructuralParams { var_eps, var_level, var_seasonal };
+        let mut ssm = match spec_kind {
+            0 => StructuralSpec::local_level().build(&params, n),
+            1 => StructuralSpec::with_seasonal().build(&params, n),
+            2 => StructuralSpec::with_intervention(n / 2).build(&params, n),
+            3 => StructuralSpec::full(n / 3).build(&params, n),
+            _ => {
+                // 1–3 change points, each a further λ state.
+                let k = 1 + (seed % 3) as usize;
+                let cps = (1..=k).map(|i| i * n / (k + 1)).collect();
+                MultiStructuralSpec::new(seed % 2 == 0, cps).build(&params, n)
+            }
+        };
+        let mut rng = SmallRng::seed_from_u64(skip_seed);
+        ssm.n_diffuse = (ssm.state_dim() + skip_shift).saturating_sub(2);
+        ssm.extra_skips = (0..n).filter(|_| rng.gen_bool(0.1)).collect();
+        let full = kalman_filter(&ssm, &ys).loglik;
+        let mut ws = FilterWorkspace::default();
+        let fast = kalman_loglik(&ssm, &ys, &mut ws);
+        prop_assert_eq!(full.to_bits(), fast.to_bits(), "full {} vs fast {}", full, fast);
+        // A dirty, previously-used workspace must not change the answer.
+        let again = kalman_loglik(&ssm, &ys, &mut ws);
+        prop_assert_eq!(fast.to_bits(), again.to_bits());
+    }
+
+    #[test]
+    fn fast_loglik_matches_filter_on_random_transitions(
+        seed in 0u64..100_000,
+        m in 1usize..8,
+        n in 1usize..40,
+    ) {
+        // No structural model has two general (non-unit) transition rows,
+        // so random models drive the general × general branch: each row is
+        // a unit row, a sparse row or a dense row; Q is symmetric with an
+        // off-diagonal term; Z_t is sparse and time-varying; P0 may be
+        // asymmetric.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut u = |lo: f64, hi: f64| rng.gen_range(lo..hi);
+        let mut transition = Mat::zeros(m, m);
+        for i in 0..m {
+            match u(0.0, 3.0) as usize {
+                0 => transition[(i, u(0.0, m as f64) as usize)] = 1.0,
+                kind => {
+                    // 1: sparse row, 2: dense row.
+                    for j in 0..m {
+                        if kind == 2 || u(0.0, 1.0) < 0.4 {
+                            transition[(i, j)] = u(-0.8, 0.8);
+                        }
+                    }
+                }
+            }
+        }
+        let mut state_cov = Mat::diag(&(0..m).map(|_| u(0.0, 2.0)).collect::<Vec<_>>());
+        if m >= 2 {
+            let (a, b) = (0, m - 1);
+            let c = u(-0.2, 0.2);
+            state_cov[(a, b)] = c;
+            state_cov[(b, a)] = c;
+        }
+        let zs: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..m).map(|_| if u(0.0, 1.0) < 0.5 { 0.0 } else { u(-2.0, 2.0) }).collect())
+            .collect();
+        let mut p0 = Mat::diag(&(0..m).map(|_| u(0.5, 100.0)).collect::<Vec<_>>());
+        if u(0.0, 1.0) < 0.5 {
+            for i in 0..m {
+                for j in 0..m {
+                    if i != j {
+                        p0[(i, j)] = u(-0.3, 0.3);
+                    }
+                }
+            }
+        }
+        let ssm = Ssm {
+            transition,
+            state_cov,
+            obs_var: u(0.0, 3.0),
+            loading: ObsLoading::TimeVarying(zs),
+            a0: (0..m).map(|_| u(-5.0, 5.0)).collect(),
+            p0,
+            n_diffuse: u(0.0, 3.0) as usize,
+            extra_skips: (0..n).filter(|_| u(0.0, 1.0) < 0.1).collect(),
+        };
+        let ys: Vec<f64> = (0..n).map(|_| u(-10.0, 10.0)).collect();
+        let full = kalman_filter(&ssm, &ys).loglik;
+        let fast = kalman_loglik(&ssm, &ys, &mut FilterWorkspace::default());
+        prop_assert_eq!(full.to_bits(), fast.to_bits(), "full {} vs fast {}", full, fast);
     }
 }

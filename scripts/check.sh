@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI would run, in dependency order.
 #
-#   ./scripts/check.sh          # build + test + lint
+#   ./scripts/check.sh          # build + test + lint + smoke gates
 #   RUN_BENCHES=1 ./scripts/check.sh   # additionally run criterion benches;
 #                                      # BENCH_*.json land in results/bench/
 set -euo pipefail
@@ -51,6 +51,14 @@ hits="$(grep -o '"name":"session.cache_hits","value":[0-9]*' "$tmp/append.jsonl"
     | grep -o '[0-9]*$' || true)"
 [[ "${hits:-0}" -gt 0 ]] \
     || { echo "incremental smoke gate: session.cache_hits is ${hits:-missing}, expected > 0"; exit 1; }
+
+echo "==> benchmark smoke run (perfbench, all workloads, 1 s each)"
+# perfbench/ is a Cargo workspace of its own, so neither the tests nor clippy
+# above compile it. Build and run it here so an API change to the crates it
+# drives cannot break the benchmark unseen; it exits non-zero when a
+# workload fails to set up or any of its correctness checks fails.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seconds 1 > /dev/null
 
 if [[ "${RUN_BENCHES:-0}" == "1" ]]; then
     echo "==> criterion benches (JSON -> results/bench/)"

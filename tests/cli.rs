@@ -197,3 +197,28 @@ fn out_of_range_entity_id_is_a_clean_error() {
     }
     let _ = std::fs::remove_file(&data);
 }
+
+#[test]
+fn simulate_rejects_worlds_too_small_to_generate() {
+    // Too few months, diseases or medicines for the world generator must be
+    // a clean error (status 1), not a panic (status 101), and write no file.
+    let data = temp_path("too-small.mic");
+    let path = data.to_str().unwrap();
+    for (flag, value, what) in [
+        ("--months", "12", "months"),
+        ("--diseases", "3", "diseases"),
+        ("--medicines", "5", "medicines"),
+    ] {
+        let out = mictrend()
+            .args(["simulate", "--out", path, flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("world spec has {value} {what}")),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(!data.exists(), "{flag} {value} wrote a file");
+    }
+}
