@@ -1,4 +1,5 @@
-//! Typed validation errors for MIC records, datasets and world specs.
+//! Typed validation errors for MIC records, datasets, world specs and the
+//! months an analysis session absorbs.
 //!
 //! Replaces the stringly `Result<(), String>` returns of
 //! [`crate::record::MicRecord::validate`] and
@@ -32,6 +33,9 @@ pub enum ClaimsError {
         id: u32,
         limit: usize,
     },
+    /// The temporal-prior weight chaining consecutive months' EM fits is
+    /// outside `[0, 1)`.
+    ContinuityOutOfRange { value: f64 },
     /// A `WorldSpec` field is below the generator's minimum.
     SpecTooSmall {
         what: &'static str,
@@ -72,6 +76,9 @@ impl fmt::Display for ClaimsError {
             }
             ClaimsError::IdOutOfRange { what, id, limit } => {
                 write!(f, "{what} id {id} out of range (catalogue size {limit})")
+            }
+            ClaimsError::ContinuityOutOfRange { value } => {
+                write!(f, "continuity must be in [0, 1), got {value}")
             }
             ClaimsError::SpecTooSmall { what, value, min } => {
                 write!(f, "world spec has {value} {what}, need at least {min}")

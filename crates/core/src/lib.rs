@@ -22,12 +22,10 @@
 pub mod classify;
 pub mod geo;
 pub mod hospital;
-pub mod outbreak;
 pub mod pipeline;
 pub mod report;
 pub mod session;
 
 pub use classify::{classify_change, ChangeCause};
-pub use outbreak::{detect_outbreaks, OutbreakAlert, OutbreakConfig};
 pub use pipeline::{PipelineConfig, SeriesReport, TrendPipeline, TrendReport};
 pub use session::{AnalysisSession, FitCache, Stage1Reproduce, Stage2Detect};

@@ -351,22 +351,29 @@ mod tests {
     #[test]
     fn parallel_pipeline_is_deterministic() {
         // The scoped-thread work queue must not change results or order:
-        // thread counts 1, 2, and 8 produce identical panels (Stage 1) and
-        // reports (Stage 2).
+        // thread counts 1, 2, 4 and 8 produce identical panels (Stage 1) and
+        // reports (Stage 2), with independent months and with the
+        // continuity refine chain behind the parallel monthly fits.
         let (_world, ds) = small_ds();
-        let base = TrendPipeline::new(PipelineConfig {
-            threads: 1,
-            ..fast_config()
-        })
-        .run(&ds)
-        .unwrap();
-        for threads in [2usize, 8] {
-            let cfg = PipelineConfig {
-                threads,
+        for continuity in [0.0, 0.5] {
+            let config = PipelineConfig {
+                continuity,
                 ..fast_config()
             };
-            let report = TrendPipeline::new(cfg).run(&ds).unwrap();
-            assert_reports_identical(&report, &base);
+            let base = TrendPipeline::new(PipelineConfig {
+                threads: 1,
+                ..config.clone()
+            })
+            .run(&ds)
+            .unwrap();
+            for threads in [2usize, 4, 8] {
+                let cfg = PipelineConfig {
+                    threads,
+                    ..config.clone()
+                };
+                let report = TrendPipeline::new(cfg).run(&ds).unwrap();
+                assert_reports_identical(&report, &base);
+            }
         }
     }
 

@@ -61,8 +61,8 @@ fn worker_threads(threads: usize) -> usize {
 pub struct Stage1Reproduce {
     pub filter: FrequencyFilter,
     pub em: EmOptions,
-    /// Temporal-prior weight for chaining consecutive months' `Φ`
-    /// (see [`MedicationModel::fit_tracked`]); 0 = independent fits.
+    /// Temporal-prior weight in `[0, 1)` for chaining consecutive months'
+    /// `Φ` (see [`MedicationModel::fit_next`]); 0 = independent fits.
     pub continuity: f64,
     /// Worker threads for batch month fits (0 = auto).
     pub threads: usize,
@@ -377,18 +377,26 @@ impl AnalysisSession {
         self.cache.clear();
     }
 
-    /// A month is accepted only if it carries the next sequential label
-    /// and every id fits the session's catalogue sizes — the panel and the
-    /// frequency filter index dense arrays by id.
-    fn check_month(&self, month: &MonthlyDataset, offset: usize) -> Result<(), ClaimsError> {
-        let index = self.models.len() + offset;
-        if month.month.index() != index {
-            return Err(ClaimsError::MonthLabel {
-                index,
-                label: month.month,
-            });
+    /// Months are accepted only if the configured continuity is in
+    /// `[0, 1)`, each month carries the next sequential label, and every id
+    /// fits the session's catalogue sizes — the panel and the frequency
+    /// filter index dense arrays by id.
+    fn check_months(&self, months: &[MonthlyDataset]) -> Result<(), ClaimsError> {
+        let continuity = self.stage1.continuity;
+        if !(0.0..1.0).contains(&continuity) {
+            return Err(ClaimsError::ContinuityOutOfRange { value: continuity });
         }
-        month.check_ids(self.n_diseases, self.n_medicines)
+        for (offset, month) in months.iter().enumerate() {
+            let index = self.models.len() + offset;
+            if month.month.index() != index {
+                return Err(ClaimsError::MonthLabel {
+                    index,
+                    label: month.month,
+                });
+            }
+            month.check_ids(self.n_diseases, self.n_medicines)?;
+        }
+        Ok(())
     }
 
     fn record_drops(
@@ -415,13 +423,14 @@ impl AnalysisSession {
 
     /// Absorb one new month: filter, fit its EM model (warm-started from
     /// the previous month's `Φ` when `continuity > 0`), and extend every
-    /// affected series by one point. The month must carry the next
-    /// sequential label and only ids below the session's catalogue sizes;
-    /// otherwise the session is left unchanged and the error returned.
+    /// affected series by one point. The configured continuity must be in
+    /// `[0, 1)` and the month must carry the next sequential label and only
+    /// ids below the session's catalogue sizes; otherwise the session is
+    /// left unchanged and the error returned.
     /// Stage-2 refits are deferred to the next [`AnalysisSession::analyze`],
     /// which touches only changed series.
     pub fn append_month(&mut self, month: &MonthlyDataset) -> Result<(), ClaimsError> {
-        self.check_month(month, 0)?;
+        self.check_months(std::slice::from_ref(month))?;
         let _span = mic_obs::span("session.append");
         let mut ws = EmWorkspace::new();
         let (filtered, vocab, model) = self.stage1.fit_month_next(
@@ -442,9 +451,7 @@ impl AnalysisSession {
     /// [`AnalysisSession::append_month`] once per month.
     pub fn append_months(&mut self, months: &[MonthlyDataset]) -> Result<(), ClaimsError> {
         let _span = mic_obs::span("pipeline.stage1");
-        for (i, month) in months.iter().enumerate() {
-            self.check_month(month, i)?;
-        }
+        self.check_months(months)?;
         let fitted = self
             .stage1
             .fit_months(months, self.n_diseases, self.n_medicines);
@@ -679,6 +686,43 @@ mod tests {
         );
         assert_eq!(session.horizon(), 1);
         assert_eq!(session.panel().horizon(), 1);
+    }
+
+    #[test]
+    fn append_rejects_out_of_range_continuity() {
+        // A continuity outside [0, 1) comes back as a typed error from
+        // every append path, before any month is absorbed.
+        let months = synthetic_months(2);
+        for value in [1.0, 1.5, -0.1, f64::NAN] {
+            let config = PipelineConfig {
+                continuity: value,
+                ..fast_config()
+            };
+            let mut session = AnalysisSession::new(&config, YearMonth::paper_start(), 3, 4);
+            let err = session.append_month(&months[0]).unwrap_err();
+            assert!(
+                matches!(err, ClaimsError::ContinuityOutOfRange { value: v } if v.to_bits() == value.to_bits()),
+                "{err}"
+            );
+            let err = session.append_months(&months).unwrap_err();
+            assert!(
+                matches!(err, ClaimsError::ContinuityOutOfRange { .. }),
+                "{err}"
+            );
+            assert_eq!(session.horizon(), 0);
+            assert_eq!(session.panel().horizon(), 0);
+            let ds = ClaimsDataset {
+                start: YearMonth::paper_start(),
+                n_diseases: 3,
+                n_medicines: 4,
+                months: months.clone(),
+            };
+            let err = crate::TrendPipeline::new(config).run(&ds).unwrap_err();
+            assert!(
+                matches!(err, ClaimsError::ContinuityOutOfRange { .. }),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use crate::workspace::EmWorkspace;
 use mic_claims::{DiseaseId, MedicineId, MonthlyDataset};
-use mic_par::parallel_map_with;
 use std::collections::HashMap;
 
 /// EM hyperparameters.
@@ -169,62 +168,23 @@ impl MedicationModel {
         }
     }
 
-    /// Fit a *tracked* sequence of monthly models: each month's `Φ` M-step
-    /// receives the previous month's expected counts as pseudo-counts with
-    /// weight `continuity ∈ [0, 1)` — the Topic-Tracking-Model-style
-    /// evolution the paper's discussion proposes as an extension. With
-    /// `continuity = 0` this reduces to independent monthly fits.
-    pub fn fit_tracked(
-        months: &[MonthlyDataset],
-        n_diseases: usize,
-        n_medicines: usize,
-        opts: &EmOptions,
-        continuity: f64,
-    ) -> Vec<MedicationModel> {
-        MedicationModel::fit_tracked_threaded(months, n_diseases, n_medicines, opts, continuity, 1)
-    }
-
-    /// [`MedicationModel::fit_tracked`] with a pipelined refine pass: the
-    /// independent monthly fits (the bulk of the cost) run in parallel on
-    /// `threads` workers with one [`EmWorkspace`] each, then the sequential
-    /// temporal-prior refinement — which must see month `t−1`'s refined `Φ`
-    /// — re-imports each fit and chains through the months serially.
-    /// Results are identical for every thread count.
-    pub fn fit_tracked_threaded(
-        months: &[MonthlyDataset],
-        n_diseases: usize,
-        n_medicines: usize,
-        opts: &EmOptions,
-        continuity: f64,
-        threads: usize,
-    ) -> Vec<MedicationModel> {
-        assert!(
-            (0.0..1.0).contains(&continuity),
-            "continuity must be in [0, 1)"
-        );
-        let mut out: Vec<MedicationModel> =
-            parallel_map_with(months, threads, EmWorkspace::new, |ws, month| {
-                MedicationModel::fit_with(month, n_diseases, n_medicines, opts, ws)
-            });
-        if continuity > 0.0 {
-            let mut ws = EmWorkspace::new();
-            for t in 1..out.len() {
-                let (done, rest) = out.split_at_mut(t);
-                let prev = &done[t - 1];
-                rest[0].refine_with(&months[t], &prev.phi, continuity, opts, &mut ws);
-            }
-        }
-        out
-    }
-
     /// Fit one month as the *next element* of a tracked sequence: an
     /// independent fit exactly like [`MedicationModel::fit_with`], then —
-    /// when `continuity > 0` and a previous model exists — the same
-    /// temporal-prior refine pass [`MedicationModel::fit_tracked`] runs, with
-    /// `prev`'s `Φ` as the prior. Chaining `fit_next` month by month is
-    /// element-wise identical to one `fit_tracked` call over the whole
-    /// window, which is what makes an incremental analysis session
-    /// equivalent to the batch pipeline by construction.
+    /// when `continuity > 0` and a previous model exists — the
+    /// temporal-prior refine pass [`MedicationModel::refine_next`] with
+    /// `prev`'s `Φ` as the prior. Each month's `Φ` M-step receives the
+    /// previous month's expected counts as pseudo-counts with weight
+    /// `continuity ∈ [0, 1)`, the Topic-Tracking-Model-style evolution the
+    /// paper's discussion proposes as an extension; with `continuity = 0`
+    /// this is an independent fit.
+    ///
+    /// Independent fits followed by a serial chain of `refine_next` calls
+    /// are element-wise identical to chaining `fit_next` month by month,
+    /// which is what makes an incremental analysis session equivalent to
+    /// the batch pipeline by construction.
+    ///
+    /// # Panics
+    /// Panics if `continuity` is outside `[0, 1)`.
     pub fn fit_next(
         month: &MonthlyDataset,
         prev: Option<&MedicationModel>,
@@ -248,10 +208,13 @@ impl MedicationModel {
     /// Apply the tracked fit's temporal-prior refine pass to an
     /// independently fitted model: resume EM from this model's `Φ` with
     /// `prev`'s `Φ` as a pseudo-count prior of weight `continuity`. A no-op
-    /// when `continuity` is zero. This is the serial half of
-    /// [`MedicationModel::fit_tracked_threaded`], exposed so callers that
-    /// already hold the parallel independent fits (an incremental analysis
-    /// session batch-loading months) can chain the refinement themselves.
+    /// when `continuity` is zero. This is the serial half of a tracked fit,
+    /// exposed so callers that already hold the parallel independent fits
+    /// (an incremental analysis session batch-loading months) can chain the
+    /// refinement themselves.
+    ///
+    /// # Panics
+    /// Panics if `continuity` is outside `[0, 1)`.
     pub fn refine_next(
         &mut self,
         month: &MonthlyDataset,
@@ -264,27 +227,15 @@ impl MedicationModel {
             (0.0..1.0).contains(&continuity),
             "continuity must be in [0, 1)"
         );
-        if continuity > 0.0 {
-            self.refine_with(month, &prev.phi, continuity, opts, ws);
+        if continuity == 0.0 {
+            return;
         }
-    }
-
-    /// The tracked fit's refine pass for one month: resume EM from this
-    /// model's `Φ` under the previous month's temporal prior.
-    fn refine_with(
-        &mut self,
-        month: &MonthlyDataset,
-        prev_phi: &[PhiRow],
-        continuity: f64,
-        opts: &EmOptions,
-        ws: &mut EmWorkspace,
-    ) {
         ws.compile(month, self.n_diseases, self.n_medicines);
         ws.import_phi(&self.phi);
-        ws.set_prior(prev_phi, continuity);
+        ws.set_prior(&prev.phi, continuity);
         let (ll, iterations) = drive_em(opts, || ws.em_step(opts.smoothing));
         if iterations > 0 {
-            self.phi = ws.export_phi(self.n_diseases, Some((prev_phi, continuity)));
+            self.phi = ws.export_phi(self.n_diseases, Some((&prev.phi, continuity)));
             self.log_likelihood = ll;
             self.iterations = iterations;
         }
@@ -706,6 +657,31 @@ mod tests {
         assert!((p0 - expected).abs() < 1e-12);
     }
 
+    /// A tracked sequence: `fit_next` chained month by month.
+    fn chain(
+        months: &[MonthlyDataset],
+        n_diseases: usize,
+        n_medicines: usize,
+        opts: &EmOptions,
+        continuity: f64,
+    ) -> Vec<MedicationModel> {
+        let mut ws = EmWorkspace::new();
+        let mut out: Vec<MedicationModel> = Vec::new();
+        for month in months {
+            let next = MedicationModel::fit_next(
+                month,
+                out.last(),
+                n_diseases,
+                n_medicines,
+                opts,
+                continuity,
+                &mut ws,
+            );
+            out.push(next);
+        }
+        out
+    }
+
     #[test]
     fn tracked_fit_smooths_sparse_months() {
         // Month 0 is rich; month 1 is very sparse. Tracked fitting should
@@ -729,7 +705,7 @@ mod tests {
         ];
         let opts = EmOptions::default();
         let independent = MedicationModel::fit(&months[1], 2, 2, &opts);
-        let tracked = MedicationModel::fit_tracked(&months, 2, 2, &opts, 0.5);
+        let tracked = chain(&months, 2, 2, &opts, 0.5);
         // Which disease caused the sparse month's prescription? The
         // independent fit cannot tell (responsibility ≈ 0.5 each); the
         // tracked fit carries month-0 knowledge that medicine 0 belongs to
@@ -743,7 +719,7 @@ mod tests {
             "tracked q ({q_trk:.3}) should exceed independent ({q_ind:.3})"
         );
         // Zero continuity reproduces independent fits.
-        let zero = MedicationModel::fit_tracked(&months, 2, 2, &opts, 0.0);
+        let zero = chain(&months, 2, 2, &opts, 0.0);
         let q_zero = zero[1].responsibilities(&bag, MedicineId(0))[0].1;
         assert!((q_zero - q_ind).abs() < 1e-9);
     }
@@ -760,7 +736,7 @@ mod tests {
                 records: vec![record(vec![(1, 2)], vec![1])],
             },
         ];
-        let tracked = MedicationModel::fit_tracked(&months, 2, 2, &EmOptions::default(), 0.8);
+        let tracked = chain(&months, 2, 2, &EmOptions::default(), 0.8);
         for model in &tracked {
             for d in 0..2 {
                 let total: f64 = (0..2)
@@ -772,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_next_chain_matches_fit_tracked() {
+    fn refine_chain_matches_fit_next_chain() {
         let mut months = Vec::new();
         for t in 0..4u32 {
             let mut records = Vec::new();
@@ -789,22 +765,19 @@ mod tests {
         }
         let opts = EmOptions::default();
         for continuity in [0.0, 0.4] {
-            let tracked = MedicationModel::fit_tracked(&months, 3, 4, &opts, continuity);
+            // Independent fits first, then the serial refine chain: the
+            // split an incremental session uses when it batch-loads months.
             let mut ws = EmWorkspace::new();
-            let mut chained: Vec<MedicationModel> = Vec::new();
-            for month in &months {
-                let next = MedicationModel::fit_next(
-                    month,
-                    chained.last(),
-                    3,
-                    4,
-                    &opts,
-                    continuity,
-                    &mut ws,
-                );
-                chained.push(next);
+            let mut refined: Vec<MedicationModel> = months
+                .iter()
+                .map(|month| MedicationModel::fit_with(month, 3, 4, &opts, &mut ws))
+                .collect();
+            for t in 1..refined.len() {
+                let (done, rest) = refined.split_at_mut(t);
+                rest[0].refine_next(&months[t], &done[t - 1], continuity, &opts, &mut ws);
             }
-            for (a, b) in tracked.iter().zip(&chained) {
+            let chained = chain(&months, 3, 4, &opts, continuity);
+            for (a, b) in refined.iter().zip(&chained) {
                 assert_eq!(a.log_likelihood.to_bits(), b.log_likelihood.to_bits());
                 assert_eq!(a.iterations, b.iterations);
                 for d in 0..3 {

@@ -18,12 +18,13 @@
 //!   allocations**.
 //!
 //! The sparse `PhiRow` representation survives only as the fitted model's
-//! query-time structure: [`EmWorkspace::export_phi`] converts the dense
-//! counts back after convergence. A temporal prior (the tracked fit's
-//! previous-month `Φ`, weighted by `continuity`) is folded in as constant
-//! per-iteration base counts, including the carried-over mass of medicines
-//! and diseases absent from the current month, so the workspace path is
-//! numerically identical to the reference implementation.
+//! query-time structure: the crate-private `EmWorkspace::export_phi`
+//! converts the dense counts back after convergence. A temporal prior (the
+//! tracked fit's previous-month `Φ`, weighted by `continuity`) is folded in
+//! as constant per-iteration base counts, including the carried-over mass
+//! of medicines and diseases absent from the current month, so the
+//! workspace path is numerically identical to the reference
+//! implementation.
 //!
 //! Every buffer is reused across months (and across fits, via
 //! `parallel_map_with`'s per-worker state), so Stage 1's per-fit heap

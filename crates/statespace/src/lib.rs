@@ -28,11 +28,8 @@
 //! - [`changepoint`] — Algorithms 1 (exact) and 2 (approximate);
 //! - [`arima`] — the ARIMA(p,d,q) baseline with AIC order selection;
 //! - [`forecast`] — out-of-sample forecasting for both model families;
-//! - [`multi`] — greedy multi-change-point detection (the paper's §IX
-//!   extension);
 //! - [`diffuse`] — exact diffuse initialisation (Durbin–Koopman), used to
-//!   validate the production κ-approximation;
-//! - [`diagnostics`] — Ljung–Box residual checks and outlier flags.
+//!   validate the production κ-approximation.
 //!
 //! # Example: detect a slope shift
 //!
@@ -52,13 +49,11 @@
 
 pub mod arima;
 pub mod changepoint;
-pub mod diagnostics;
 pub mod diffuse;
 pub mod estimate;
 pub mod forecast;
 pub mod kalman;
 pub mod model;
-pub mod multi;
 pub mod smoother;
 pub mod structural;
 
@@ -67,10 +62,8 @@ pub use changepoint::{
     search, ChangePoint, ChangePointSearch, SearchAlgorithm, SearchPlan, SelectionCriterion,
     WarmStart,
 };
-pub use diagnostics::{diagnose_residuals, ResidualDiagnostics};
 pub use estimate::{fit_structural, FitOptions, FittedStructural};
 pub use kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace};
 pub use model::Ssm;
-pub use multi::{detect_multiple, MultiChangePoints, MultiStructuralSpec};
 pub use smoother::{smooth, SmoothResult};
 pub use structural::{Components, InterventionSpec, StructuralParams, StructuralSpec};

@@ -4,7 +4,6 @@ use mic_statespace::arima::{difference, fit_arima, ArimaFitOptions, ArimaOrder};
 use mic_statespace::estimate::{fit_structural, FitOptions};
 use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace};
 use mic_statespace::model::{ObsLoading, Ssm};
-use mic_statespace::multi::MultiStructuralSpec;
 use mic_statespace::smoother::smooth;
 use mic_statespace::structural::{InterventionSpec, StructuralParams, StructuralSpec};
 use mic_stats::Mat;
@@ -177,7 +176,7 @@ proptest! {
         var_level in 0.0001..5.0f64,
         var_seasonal in 0.0..1.0f64,
         zero_seasonal in 0usize..4,
-        spec_kind in 0usize..5,
+        spec_kind in 0usize..4,
         n in 16usize..60,
         skip_shift in 0usize..5,
         skip_seed in 0u64..1000,
@@ -192,13 +191,7 @@ proptest! {
             0 => StructuralSpec::local_level().build(&params, n),
             1 => StructuralSpec::with_seasonal().build(&params, n),
             2 => StructuralSpec::with_intervention(n / 2).build(&params, n),
-            3 => StructuralSpec::full(n / 3).build(&params, n),
-            _ => {
-                // 1–3 change points, each a further λ state.
-                let k = 1 + (seed % 3) as usize;
-                let cps = (1..=k).map(|i| i * n / (k + 1)).collect();
-                MultiStructuralSpec::new(seed % 2 == 0, cps).build(&params, n)
-            }
+            _ => StructuralSpec::full(n / 3).build(&params, n),
         };
         let mut rng = SmallRng::seed_from_u64(skip_seed);
         ssm.n_diffuse = (ssm.state_dim() + skip_shift).saturating_sub(2);
@@ -215,7 +208,7 @@ proptest! {
     #[test]
     fn fast_loglik_matches_filter_on_random_transitions(
         seed in 0u64..100_000,
-        m in 1usize..8,
+        m in 1usize..17,
         n in 1usize..40,
     ) {
         // No structural model has two general (non-unit) transition rows,

@@ -29,16 +29,6 @@ pub fn normal_cdf(x: f64, mean: f64, sd: f64) -> f64 {
     0.5 * (1.0 + erf((x - mean) / (sd * std::f64::consts::SQRT_2)))
 }
 
-/// CDF of the chi-square distribution with `k` degrees of freedom:
-/// `P(k/2, x/2)` via the regularised incomplete gamma.
-pub fn chi_square_cdf(x: f64, k: f64) -> f64 {
-    assert!(k > 0.0, "chi_square_cdf requires k > 0");
-    if x <= 0.0 {
-        return 0.0;
-    }
-    crate::special::gamma_inc_lower_reg(0.5 * k, 0.5 * x)
-}
-
 /// CDF of Student's t distribution with `df` degrees of freedom.
 ///
 /// Uses the incomplete-beta identity

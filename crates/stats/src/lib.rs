@@ -13,11 +13,12 @@
 //! - [`effect`] — Cohen's d and Cohen's kappa effect/agreement sizes;
 //! - [`metrics`] — RMSE / MAE / MAPE forecast-error metrics;
 //! - [`ranking`] — AP@K and NDCG@K ranking-quality metrics;
-//! - [`optimize`] — Nelder–Mead simplex and golden-section search;
+//! - [`optimize`] — the Nelder–Mead simplex;
+//! - [`tsa`] — the KPSS level-stationarity test used by ARIMA order
+//!   selection;
 //! - [`linalg`] — small dense matrices with Cholesky solves, sized for
 //!   Kalman-filter state dimensions (≈ 4–16).
 
-pub mod bootstrap;
 pub mod descriptive;
 pub mod dist;
 pub mod effect;
@@ -33,6 +34,6 @@ pub use descriptive::{mean, quantile, sample_sd, sample_variance, Summary};
 pub use effect::{cohen_d_paired, cohen_kappa};
 pub use linalg::Mat;
 pub use metrics::{mae, rmse};
-pub use optimize::{golden_section, nelder_mead, NelderMeadOptions, OptimizeResult};
+pub use optimize::{nelder_mead, NelderMeadOptions, OptimizeResult};
 pub use ranking::{average_precision_at_k, ndcg_at_k};
 pub use ttest::{paired_t_test, TTestResult};

@@ -5,7 +5,7 @@
 //! standard approach (also used by R's `StructTS`/`arima`) is a
 //! derivative-free simplex search over transformed (log-variance /
 //! PACF-space) parameters. This module provides Nelder–Mead with adaptive
-//! coefficients and a golden-section line search for 1-D problems.
+//! coefficients.
 
 /// Outcome of an optimisation run.
 #[derive(Clone, Debug)]
@@ -179,42 +179,6 @@ where
     }
 }
 
-/// Minimise a 1-D unimodal function on `[lo, hi]` by golden-section search.
-/// Returns `(x_min, f(x_min))`.
-pub fn golden_section<F>(mut f: F, lo: f64, hi: f64, tol: f64, max_iter: usize) -> (f64, f64)
-where
-    F: FnMut(f64) -> f64,
-{
-    assert!(lo < hi, "golden_section requires lo < hi");
-    let inv_phi = (5.0_f64.sqrt() - 1.0) / 2.0;
-    let mut a = lo;
-    let mut b = hi;
-    let mut c = b - inv_phi * (b - a);
-    let mut d = a + inv_phi * (b - a);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    for _ in 0..max_iter {
-        if (b - a).abs() < tol {
-            break;
-        }
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - inv_phi * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + inv_phi * (b - a);
-            fd = f(d);
-        }
-    }
-    let x = 0.5 * (a + b);
-    (x, f(x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,18 +234,5 @@ mod tests {
             &opts,
         );
         assert!(r.evals <= 40 + 4, "evals = {}", r.evals); // small overshoot from shrink step
-    }
-
-    #[test]
-    fn golden_section_minimum() {
-        let (x, fx) = golden_section(|x| (x - 1.5).powi(2) + 0.25, 0.0, 10.0, 1e-8, 200);
-        assert!((x - 1.5).abs() < 1e-6);
-        assert!((fx - 0.25).abs() < 1e-10);
-    }
-
-    #[test]
-    fn golden_section_boundary_minimum() {
-        let (x, _) = golden_section(|x| x, 2.0, 5.0, 1e-8, 200);
-        assert!((x - 2.0).abs() < 1e-6);
     }
 }

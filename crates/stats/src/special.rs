@@ -115,60 +115,6 @@ fn beta_cont_frac(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Regularised lower incomplete gamma function `P(a, x) = γ(a, x) / Γ(a)`,
-/// via the series expansion for `x < a + 1` and the continued fraction for
-/// the complement otherwise (Numerical Recipes `gammp`). This is the
-/// chi-square CDF kernel used by the Ljung–Box residual test.
-pub fn gamma_inc_lower_reg(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "gamma_inc_lower_reg requires a > 0");
-    assert!(x >= 0.0, "gamma_inc_lower_reg requires x >= 0");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        // Series: P(a,x) = x^a e^-x / Γ(a) · Σ x^n / (a(a+1)…(a+n)).
-        let mut ap = a;
-        let mut sum = 1.0 / a;
-        let mut del = sum;
-        for _ in 0..500 {
-            ap += 1.0;
-            del *= x / ap;
-            sum += del;
-            if del.abs() < sum.abs() * 1e-15 {
-                break;
-            }
-        }
-        (sum * (-x + a * x.ln() - ln_gamma(a)).exp()).clamp(0.0, 1.0)
-    } else {
-        // Continued fraction for Q(a,x) (modified Lentz).
-        const TINY: f64 = 1e-300;
-        let mut b = x + 1.0 - a;
-        let mut c = 1.0 / TINY;
-        let mut d = 1.0 / b;
-        let mut h = d;
-        for i in 1..500 {
-            let an = -(i as f64) * (i as f64 - a);
-            b += 2.0;
-            d = an * d + b;
-            if d.abs() < TINY {
-                d = TINY;
-            }
-            c = b + an / c;
-            if c.abs() < TINY {
-                c = TINY;
-            }
-            d = 1.0 / d;
-            let del = d * c;
-            h *= del;
-            if (del - 1.0).abs() < 1e-15 {
-                break;
-            }
-        }
-        let q = (-x + a * x.ln() - ln_gamma(a)).exp() * h;
-        (1.0 - q).clamp(0.0, 1.0)
-    }
-}
-
 /// Error function `erf(x)`, via Abramowitz & Stegun 7.1.26-style rational
 /// approximation refined with one extra term; absolute error < 1.2e-7, which
 /// is sufficient for normal-CDF use in sampling diagnostics.
@@ -304,40 +250,6 @@ mod tests {
         assert_close(beta_inc(0.5, 0.5, 0.5), 0.5, 1e-12);
         // I_{0.25}(2, 2) = 3x^2 - 2x^3 at 0.25 = 0.15625.
         assert_close(beta_inc(2.0, 2.0, 0.25), 0.15625, 1e-12);
-    }
-
-    #[test]
-    fn gamma_inc_boundaries() {
-        assert_eq!(gamma_inc_lower_reg(2.0, 0.0), 0.0);
-        assert!((gamma_inc_lower_reg(1.0, 1e6) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gamma_inc_exponential_case() {
-        // P(1, x) = 1 − e^{−x}.
-        for &x in &[0.1, 0.5, 1.0, 3.0, 10.0] {
-            assert_close(gamma_inc_lower_reg(1.0, x), 1.0 - (-x).exp(), 1e-12);
-        }
-    }
-
-    #[test]
-    fn gamma_inc_chi_square_values() {
-        // Chi-square CDF with k df = P(k/2, x/2). Known: χ²(2) at 5.991 = 0.95.
-        assert_close(gamma_inc_lower_reg(1.0, 5.991 / 2.0), 0.95, 1e-3);
-        // χ²(10) at 18.307 = 0.95.
-        assert_close(gamma_inc_lower_reg(5.0, 18.307 / 2.0), 0.95, 1e-3);
-        // χ²(1) at 3.841 = 0.95.
-        assert_close(gamma_inc_lower_reg(0.5, 3.841 / 2.0), 0.95, 1e-3);
-    }
-
-    #[test]
-    fn gamma_inc_monotone() {
-        let mut prev = 0.0;
-        for i in 1..50 {
-            let v = gamma_inc_lower_reg(3.5, i as f64 * 0.4);
-            assert!(v >= prev);
-            prev = v;
-        }
     }
 
     #[test]

@@ -1,21 +1,7 @@
-//! Time-series analysis helpers: autocorrelation and the KPSS level-
-//! stationarity test used for ARIMA differencing-order selection.
+//! Time-series analysis helpers: the KPSS level-stationarity test used for
+//! ARIMA differencing-order selection.
 
 use crate::descriptive::mean;
-
-/// Sample autocorrelation at `lag`.
-pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
-    assert!(lag < xs.len(), "lag must be < series length");
-    let m = mean(xs);
-    let denom: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
-    if denom == 0.0 {
-        return 0.0;
-    }
-    let num: f64 = (lag..xs.len())
-        .map(|t| (xs[t] - m) * (xs[t - lag] - m))
-        .sum();
-    num / denom
-}
 
 /// KPSS test statistic for level stationarity (Kwiatkowski et al. 1992):
 /// `η = n⁻² Σ_t S_t² / σ̂²_l` with `S_t` the partial sums of the demeaned
@@ -47,25 +33,6 @@ pub fn kpss_level_statistic(xs: &[f64]) -> f64 {
     sum_s2 / (n as f64 * n as f64 * lrv)
 }
 
-/// Ljung–Box portmanteau test for autocorrelation in residuals:
-/// `Q = n(n+2) Σ_{k=1..h} ρ̂_k² / (n−k)`, asymptotically χ²(h) under the
-/// white-noise null. Returns `(Q, p_value)`; a small p-value indicates the
-/// residuals are *not* white (the model missed structure).
-pub fn ljung_box(xs: &[f64], lags: usize) -> (f64, f64) {
-    let n = xs.len();
-    assert!(lags >= 1, "ljung_box needs at least one lag");
-    assert!(n > lags + 1, "series too short for {lags} lags");
-    let nf = n as f64;
-    let mut q = 0.0;
-    for k in 1..=lags {
-        let rho = autocorrelation(xs, k);
-        q += rho * rho / (nf - k as f64);
-    }
-    q *= nf * (nf + 2.0);
-    let p = 1.0 - crate::dist::chi_square_cdf(q, lags as f64);
-    (q, p)
-}
-
 /// 5% critical value of the KPSS level-stationarity statistic.
 pub const KPSS_LEVEL_CRIT_5PCT: f64 = 0.463;
 
@@ -79,16 +46,6 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn autocorrelation_of_constant_shifted() {
-        let xs: Vec<f64> = (0..50)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!((autocorrelation(&xs, 1) + 1.0).abs() < 0.05);
-        assert!((autocorrelation(&xs, 2) - 1.0).abs() < 0.05);
-        assert_eq!(autocorrelation(&xs, 0), 1.0);
-    }
 
     #[test]
     fn kpss_accepts_white_noise() {
@@ -142,43 +99,6 @@ mod tests {
     fn kpss_rejects_trend() {
         let xs: Vec<f64> = (0..150).map(|i| i as f64 * 0.5).collect();
         assert!(kpss_rejects_stationarity(&xs));
-    }
-
-    #[test]
-    fn ljung_box_accepts_white_noise() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let xs: Vec<f64> = (0..300).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let (_q, p) = ljung_box(&xs, 10);
-        assert!(p > 0.05, "white noise rejected: p = {p}");
-    }
-
-    #[test]
-    fn ljung_box_rejects_ar1() {
-        let mut rng = SmallRng::seed_from_u64(12);
-        let mut x = 0.0;
-        let xs: Vec<f64> = (0..300)
-            .map(|_| {
-                x = 0.7 * x + rng.gen_range(-1.0..1.0);
-                x
-            })
-            .collect();
-        let (q, p) = ljung_box(&xs, 10);
-        assert!(p < 0.001, "AR(1) should be detected: Q = {q}, p = {p}");
-    }
-
-    #[test]
-    fn ljung_box_rejects_seasonal_pattern() {
-        let xs: Vec<f64> = (0..144)
-            .map(|t| ((t % 12) as f64 / 12.0 * std::f64::consts::TAU).sin())
-            .collect();
-        let (_q, p) = ljung_box(&xs, 14);
-        assert!(p < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "too short")]
-    fn ljung_box_short_series_panics() {
-        ljung_box(&[1.0, 2.0, 3.0], 5);
     }
 
     #[test]

@@ -19,6 +19,10 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (warnings denied)"
+# Broken or private intra-doc links only surface as rustdoc warnings.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> metrics smoke gate (mictrend analyze --metrics)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -320,12 +320,6 @@ fn append(flags: &Flags) -> Result<(), String> {
         },
         ..Default::default()
     };
-    if !(0.0..1.0).contains(&config.continuity) {
-        return Err(format!(
-            "--continuity must be in [0, 1), got {}",
-            config.continuity
-        ));
-    }
     let horizon = dataset.horizon();
     if tail == 0 || tail >= horizon {
         return Err(format!(

@@ -166,6 +166,24 @@ fn bad_usage_fails_gracefully() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
+
+    // Out-of-range temporal-prior weight: the session's typed error.
+    let out = mictrend()
+        .args([
+            "append",
+            "--data",
+            data.to_str().unwrap(),
+            "--continuity",
+            "1.5",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: continuity must be in [0, 1), got 1.5"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_file(&data);
 }
 
